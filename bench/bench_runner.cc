@@ -70,6 +70,7 @@ int Main(int argc, char** argv) {
   base.measure_seconds = flags.GetDouble("measure", 1.0);
   base.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   base.dop = flags.GetBoundedInt("dop", 1, 1, 64);
+  if (flags.ReportUnread("bench_runner")) return 2;
 
   // One representative per design class (shared / isolated / hybrid).
   const SystemRecipe kSystems[] = {

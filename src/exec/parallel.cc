@@ -6,7 +6,7 @@
 #include <thread>
 #include <utility>
 
-#include "common/key_encoding.h"
+#include "exec/hash_table.h"
 #include "exec/op_profiler.h"
 
 namespace hattrick {
@@ -77,7 +77,7 @@ class GatherMergeOp final : public Operator {
     if (prof_.enabled()) ctx->profile->AbsorbShards(shard_profiles);
 
     // Merge partials: group key -> (key values, exact sums/counts, min/max
-    // doubles). std::map keeps encoded-key order, matching the serial
+    // doubles). std::map keeps typed encoded-key order, matching the serial
     // HashAggregateOp's sorted output.
     struct Merged {
       Row key_values;
@@ -88,7 +88,7 @@ class GatherMergeOp final : public Operator {
     const auto merge_row = [&](const Row& row) {
         std::string key;
         for (size_t i = 0; i < group_columns_; ++i) {
-          key::EncodeValue(row[i], &key);
+          AppendTypedKey(row[i], &key);
         }
         auto [it, inserted] = groups.try_emplace(std::move(key));
         Merged& m = it->second;

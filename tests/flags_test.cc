@@ -77,22 +77,54 @@ TEST(FlagsTest, GetPositiveIntAcceptsPositiveValues) {
 
 TEST(FlagsTest, GetPositiveIntRejectsZeroAndNegatives) {
   // A batch of zero rows can make no progress and a negative width is
-  // meaningless, so both fall back to the default instead of being
-  // clamped to some other surprising value.
-  EXPECT_EQ(Parse({"--batch-size=0"}).GetPositiveInt("batch-size", 1024),
-            1024);
-  EXPECT_EQ(Parse({"--batch-size=-5"}).GetPositiveInt("batch-size", 1024),
-            1024);
+  // meaningless: both are usage errors, not a silent fallback.
+  EXPECT_EXIT(Parse({"--batch-size=0"}).GetPositiveInt("batch-size", 1024),
+              ::testing::ExitedWithCode(2),
+              "--batch-size: expected a positive integer, got '0'");
+  EXPECT_EXIT(Parse({"--batch-size=-5"}).GetPositiveInt("batch-size", 1024),
+              ::testing::ExitedWithCode(2), "got '-5'");
 }
 
 TEST(FlagsTest, GetPositiveIntRejectsGarbage) {
-  // atoi parses "banana" as 0, which the positivity check then rejects.
-  EXPECT_EQ(Parse({"--batch-size=banana"}).GetPositiveInt("batch-size", 1024),
-            1024);
+  EXPECT_EXIT(
+      Parse({"--batch-size=banana"}).GetPositiveInt("batch-size", 1024),
+      ::testing::ExitedWithCode(2), "got 'banana'");
+  EXPECT_EXIT(Parse({"--batch-size=12x"}).GetPositiveInt("batch-size", 1024),
+              ::testing::ExitedWithCode(2), "got '12x'");
+  EXPECT_EXIT(
+      Parse({"--batch-size=99999999999"}).GetPositiveInt("batch-size", 1024),
+      ::testing::ExitedWithCode(2), "got '99999999999'");
 }
 
 TEST(FlagsTest, GetPositiveIntUsesFallbackWhenAbsent) {
   EXPECT_EQ(Parse({}).GetPositiveInt("batch-size", 1024), 1024);
+}
+
+TEST(FlagsTest, UnreadListsFlagsNoGetterAskedFor) {
+  const Flags flags =
+      Parse({"--sf=2", "--bogus_flag=3", "--rows_per_sf=100", "--verbose"});
+  EXPECT_EQ(flags.GetInt("sf", 1), 2);
+  EXPECT_TRUE(flags.GetBool("verbose", false));
+  EXPECT_EQ(flags.Unread(),
+            (std::vector<std::string>{"bogus_flag", "rows_per_sf"}));
+}
+
+TEST(FlagsTest, HasAndAbsentLookupsCountAsRead) {
+  const Flags flags = Parse({"--schema=all", "--t=3"});
+  EXPECT_TRUE(flags.Has("schema"));
+  EXPECT_EQ(flags.GetInt("a", 2), 2);  // absent: nothing to report
+  EXPECT_EQ(flags.Unread(), std::vector<std::string>{"t"});
+  EXPECT_EQ(flags.GetInt("t", 4), 3);
+  EXPECT_TRUE(flags.Unread().empty());
+  EXPECT_FALSE(flags.ReportUnread("prog"));
+}
+
+TEST(FlagsTest, ReportUnreadNamesEveryUnreadFlag) {
+  const Flags flags = Parse({"--bogus_flag=3", "--other", "x"});
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(flags.ReportUnread("tool"));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "tool: unknown flag(s): --bogus_flag --other\n");
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #ifndef HATTRICK_TOOLS_FLAGS_H_
 #define HATTRICK_TOOLS_FLAGS_H_
 
+#include <cerrno>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -10,7 +14,9 @@ namespace hattrick {
 namespace tools {
 
 /// Minimal --key=value / --key value / --flag command-line parser for the
-/// CLI tools (no external dependencies).
+/// CLI tools (no external dependencies). Every getter records the key as
+/// read, so a tool can reject the flags it never consumed (ReportUnread):
+/// no option on a command line is silently ignored.
 class Flags {
  public:
   /// Parses argv; unknown positional arguments are collected in order.
@@ -35,17 +41,17 @@ class Flags {
   }
 
   bool Has(const std::string& key) const {
-    return values_.count(key) > 0;
+    return Find(key) != values_.end();
   }
 
   std::string GetString(const std::string& key,
                         const std::string& fallback) const {
-    const auto it = values_.find(key);
+    const auto it = Find(key);
     return it == values_.end() ? fallback : it->second;
   }
 
   int GetInt(const std::string& key, int fallback) const {
-    const auto it = values_.find(key);
+    const auto it = Find(key);
     return it == values_.end() ? fallback : std::atoi(it->second.c_str());
   }
 
@@ -57,29 +63,74 @@ class Flags {
     return v < lo ? lo : (v > hi ? hi : v);
   }
 
-  /// GetInt for strictly positive knobs (e.g. --batch-size): 0, negative,
-  /// and unparsable values are rejected in favor of `fallback`.
+  /// Integer for strictly positive knobs (e.g. --batch-size); `fallback`
+  /// when absent. Zero, negative, out-of-range and non-numeric values are
+  /// a usage error: the message goes to stderr and the process exits
+  /// with status 2.
   int GetPositiveInt(const std::string& key, int fallback) const {
-    const int v = GetInt(key, fallback);
-    return v < 1 ? fallback : v;
+    const auto it = Find(key);
+    if (it == values_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || v < 1 ||
+        v > INT_MAX) {
+      std::fprintf(stderr, "--%s: expected a positive integer, got '%s'\n",
+                   key.c_str(), text);
+      std::exit(2);
+    }
+    return static_cast<int>(v);
   }
 
   double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
+    const auto it = Find(key);
     return it == values_.end() ? fallback : std::atof(it->second.c_str());
   }
 
   bool GetBool(const std::string& key, bool fallback) const {
-    const auto it = values_.find(key);
+    const auto it = Find(key);
     if (it == values_.end()) return fallback;
     return it->second == "true" || it->second == "1" || it->second == "yes";
   }
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Flags given on the command line that no getter has read, in key
+  /// order: typos and options the tool does not support.
+  std::vector<std::string> Unread() const {
+    std::vector<std::string> unread;
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) == 0) unread.push_back(key);
+    }
+    return unread;
+  }
+
+  /// Call after the tool has read every flag it supports: prints
+  /// "<tool>: unknown flag(s): --a --b" to stderr and returns true when
+  /// any flag went unread, so the tool can fail instead of running.
+  bool ReportUnread(const char* tool) const {
+    const std::vector<std::string> unread = Unread();
+    if (unread.empty()) return false;
+    std::fprintf(stderr, "%s: unknown flag(s):", tool);
+    for (const std::string& key : unread) {
+      std::fprintf(stderr, " --%s", key.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    return true;
+  }
+
  private:
+  std::map<std::string, std::string>::const_iterator Find(
+      const std::string& key) const {
+    read_.insert(key);
+    return values_.find(key);
+  }
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  // Keys any getter asked for (present or not); see Unread().
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace tools

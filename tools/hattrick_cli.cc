@@ -26,12 +26,11 @@
 //   --warmup, --measure   period lengths in virtual s  (default 0.25 / 1)
 //   --seed      workload seed                          (default 7)
 //   --lines, --points, --max_clients   frontier options
-//   --rows_per_sf  lineorders per SF unit              (default 2000)
 //   --threaded  use wall-clock threads instead of the simulator (point)
 //   --dop       intra-query parallelism per A-client   (default 1)
 //   --batch-size  rows per column-vector batch in the vectorized
-//               executor (default 1024; values < 1 are rejected and
-//               fall back to the default)
+//               executor (default 1024; anything but a positive integer
+//               is a usage error)
 //   --row-exec  row-at-a-time oracle executor instead of vectorized
 //               batches (same results and metered work; for A/B runs)
 //   --shards    shard count for --system=tidb-dist with the sharded
@@ -210,9 +209,9 @@ int Usage() {
 
 int Main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const std::string mode = flags.positional().empty()
-                               ? flags.GetString("mode", "point")
-                               : flags.positional().front();
+  const std::string mode_flag = flags.GetString("mode", "point");
+  const std::string mode =
+      flags.positional().empty() ? mode_flag : flags.positional().front();
 
   EngineKind kind;
   if (!ParseSystem(flags.GetString("system", "postgres"), &kind)) {
@@ -265,6 +264,71 @@ int Main(int argc, char** argv) {
     shards = static_cast<uint32_t>(flags.GetBoundedInt("shards", 3, 1, 64));
   }
 
+  WorkloadConfig base;
+  base.warmup_seconds = flags.GetDouble("warmup", 0.25);
+  base.measure_seconds = flags.GetDouble("measure", 1.0);
+  base.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  base.dop = flags.GetBoundedInt("dop", 1, 1, 64);
+  base.vectorized = !flags.GetBool("row-exec", false);
+  if (flags.Has("batch-size")) {
+    base.batch_rows =
+        flags.GetPositiveInt("batch-size", static_cast<int>(kDefaultBatchRows));
+  }
+
+  // Every mode reads its own flags here, before the (slow) load, so a
+  // misspelled or unsupported flag fails fast instead of being ignored.
+  std::string trace_out;
+  std::string metrics_out;
+  std::string profile_out;
+  bool threaded = false;
+  bool explain = false;
+  int txns = 0;
+  std::vector<int> qids;
+  FrontierOptions options;
+  int max_a = 0;
+  if (mode == "point") {
+    base.t_clients = flags.GetInt("t", 4);
+    base.a_clients = flags.GetInt("a", 2);
+    trace_out = flags.GetString("trace-out", "");
+    metrics_out = flags.GetString("metrics-out", "");
+    threaded = flags.GetBool("threaded", false);
+  } else if (mode == "query") {
+    const std::string which = flags.GetString("query", "all");
+    if (which == "all") {
+      for (int q = 0; q < kNumQueries; ++q) qids.push_back(q);
+    } else {
+      int qid = -1;
+      for (int q = 0; q < kNumQueries; ++q) {
+        if (which == QueryName(q)) qid = q;
+      }
+      if (qid < 0 && !which.empty() &&
+          which.find_first_not_of("0123456789") == std::string::npos) {
+        const int parsed = std::atoi(which.c_str());
+        if (parsed >= 0 && parsed < kNumQueries) qid = parsed;
+      }
+      if (qid < 0) {
+        std::fprintf(stderr,
+                     "unknown --query (use Q1.1..Q4.3, 0..12, or all)\n");
+        return Usage();
+      }
+      qids.push_back(qid);
+    }
+    explain = flags.GetBool("explain", false);
+    profile_out = flags.GetString("profile-out", "");
+    trace_out = flags.GetString("trace-out", "");
+    txns = flags.GetInt("txns", 0);
+  } else if (mode == "frontier") {
+    options.lines = flags.GetInt("lines", 5);
+    options.points_per_line = flags.GetInt("points", 5);
+    options.max_clients = flags.GetInt("max_clients", 32);
+  } else if (mode == "sweep") {
+    base.t_clients = flags.GetInt("t", 4);
+    max_a = flags.GetInt("max_a", 8);
+  } else {
+    return Usage();
+  }
+  if (flags.ReportUnread("hattrick_cli")) return Usage();
+
   std::printf("# system=%s sf=%.1f schema=%s\n",
               bench::EngineKindName(kind), sf, PhysicalSchemaName(schema));
   if (kind == EngineKind::kTidbDist) {
@@ -286,25 +350,11 @@ int Main(int argc, char** argv) {
       bench::MakeEnv(kind, sf, schema, fault, merge_mode, dist_model, shards);
   std::printf("# loaded %zu lineorders\n", env.dataset.lineorder.size());
 
-  WorkloadConfig base;
-  base.warmup_seconds = flags.GetDouble("warmup", 0.25);
-  base.measure_seconds = flags.GetDouble("measure", 1.0);
-  base.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  base.dop = flags.GetBoundedInt("dop", 1, 1, 64);
-  base.vectorized = !flags.GetBool("row-exec", false);
-  if (flags.Has("batch-size")) {
-    base.batch_rows =
-        flags.GetPositiveInt("batch-size", static_cast<int>(kDefaultBatchRows));
-  }
 
   if (mode == "point") {
-    base.t_clients = flags.GetInt("t", 4);
-    base.a_clients = flags.GetInt("a", 2);
-    const std::string trace_out = flags.GetString("trace-out", "");
-    const std::string metrics_out = flags.GetString("metrics-out", "");
     obs::Tracer tracer;
     RunMetrics metrics;
-    if (flags.GetBool("threaded", false)) {
+    if (threaded) {
       ThreadedDriver threaded(env.engine.get(), env.context.get());
       if (!trace_out.empty()) threaded.SetTracer(&tracer);
       metrics = threaded.Run(base);
@@ -333,35 +383,10 @@ int Main(int argc, char** argv) {
     return 0;
   }
   if (mode == "query") {
-    const std::string which = flags.GetString("query", "all");
-    std::vector<int> qids;
-    if (which == "all") {
-      for (int q = 0; q < kNumQueries; ++q) qids.push_back(q);
-    } else {
-      int qid = -1;
-      for (int q = 0; q < kNumQueries; ++q) {
-        if (which == QueryName(q)) qid = q;
-      }
-      if (qid < 0 && !which.empty() &&
-          which.find_first_not_of("0123456789") == std::string::npos) {
-        const int parsed = std::atoi(which.c_str());
-        if (parsed >= 0 && parsed < kNumQueries) qid = parsed;
-      }
-      if (qid < 0) {
-        std::fprintf(stderr,
-                     "unknown --query (use Q1.1..Q4.3, 0..12, or all)\n");
-        return Usage();
-      }
-      qids.push_back(qid);
-    }
-    const bool explain = flags.GetBool("explain", false);
-    const std::string profile_out = flags.GetString("profile-out", "");
-    const std::string trace_out = flags.GetString("trace-out", "");
     // Apply a burst of transactions before profiling so the scans have a
     // delta to show: on the hybrid designs, --merge-mode=eager then
     // merges it before the query while bitmap mode reads it through the
     // override/insert snapshot lanes (visible in --explain).
-    const int txns = flags.GetInt("txns", 0);
     if (txns > 0) {
       const EngineHandles handles = EngineHandles::Resolve(
           *env.engine->primary_catalog(), env.context->num_freshness_tables);
@@ -446,10 +471,6 @@ int Main(int argc, char** argv) {
     return 0;
   }
   if (mode == "frontier") {
-    FrontierOptions options;
-    options.lines = flags.GetInt("lines", 5);
-    options.points_per_line = flags.GetInt("points", 5);
-    options.max_clients = flags.GetInt("max_clients", 32);
     const GridGraph grid = BuildGridGraph(
         MakeRunner(env.driver.get(), base), options,
         [](const std::string& note) {
@@ -464,8 +485,7 @@ int Main(int argc, char** argv) {
     return 0;
   }
   if (mode == "sweep") {
-    const int t = flags.GetInt("t", 4);
-    const int max_a = flags.GetInt("max_a", 8);
+    const int t = base.t_clients;
     std::printf("t_clients,a_clients,tps,qps,freshness_p99_s\n");
     for (int a = 0; a <= max_a; ++a) {
       base.t_clients = t;
