@@ -195,9 +195,9 @@ struct Batch {
 
   /// True when `row`'s cell types match this batch's column types.
   /// Always true for an empty batch (AppendRow re-infers types then).
-  /// Row→batch adapters use this to cut a batch early at a type skew, so
-  /// heterogeneously typed inputs (values scans in tests) arrive as
-  /// shorter, uniformly typed batches. Most operators accept types that
+  /// The values scan uses this to cut a batch early at a type skew, so
+  /// heterogeneously typed test inputs arrive as shorter, uniformly
+  /// typed batches. Most operators accept types that
   /// change between batches; a hash join's build side does not and
   /// aborts on it (every scan emits schema-typed batches).
   bool TypesMatch(const Row& row) const {

@@ -17,25 +17,6 @@ int64_t QuantizeSumValue(double v) {
   return std::llround(v * kSumFixedPointScale);
 }
 
-bool Operator::NextBatch(ExecContext* ctx, Batch* out) {
-  out->Clear();
-  if (has_pending_row_) {
-    out->AppendRow(pending_row_);
-    has_pending_row_ = false;
-  }
-  Row row;
-  while (out->rows < ctx->batch_rows && Next(ctx, &row)) {
-    if (!out->TypesMatch(row)) {
-      // Type skew: close this batch and start the next one with the row.
-      pending_row_ = std::move(row);
-      has_pending_row_ = true;
-      break;
-    }
-    out->AppendRow(row);
-  }
-  return out->rows > 0;
-}
-
 namespace {
 
 /// Boolean truth of the i-th cell of an evaluated predicate vector,

@@ -71,9 +71,8 @@ struct ExecContext {
 /// Physical operator. The primary interface is batch-at-a-time
 /// (NextBatch, column-vector batches with selection vectors); the
 /// row-at-a-time Volcano interface (Next) is retained as the
-/// differential-testing oracle and for row-native operators (index range
-/// scans), which get NextBatch from the base-class adapter. Scans
-/// stream; blocking operators (hash join build, aggregation, sort)
+/// differential-testing oracle. Every operator implements both natively.
+/// Scans stream; blocking operators (hash join build, aggregation, sort)
 /// materialize internally, draining their children in the mode
 /// ExecContext::vectorized selects.
 class Operator {
@@ -87,16 +86,8 @@ class Operator {
   virtual bool Next(ExecContext* ctx, Row* out) = 0;
 
   /// Produces the next batch (>= 1 active row) into *out; returns false
-  /// when exhausted. The base implementation adapts a row-native
-  /// operator by pulling up to ctx->batch_rows rows through Next.
-  virtual bool NextBatch(ExecContext* ctx, Batch* out);
-
- private:
-  // Row the base NextBatch adapter read but could not append because its
-  // cell types differ from the open batch's columns; it opens the next
-  // batch instead.
-  Row pending_row_;
-  bool has_pending_row_ = false;
+  /// when exhausted.
+  virtual bool NextBatch(ExecContext* ctx, Batch* out) = 0;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;

@@ -30,6 +30,28 @@ bool MatchesPushdowns(const Row& row, const ScanSpec& spec) {
   return true;
 }
 
+/// Schema types of a spec's projected columns: the column types of the
+/// batches a row-store scan emits.
+std::vector<DataType> ProjectedTypes(const RowTable& table,
+                                     const ScanSpec& spec) {
+  std::vector<DataType> types;
+  types.reserve(spec.projection.size());
+  for (size_t col : spec.projection) {
+    types.push_back(table.schema().column(col).type);
+  }
+  return types;
+}
+
+/// Appends `row`'s projected cells to the typed vectors of *out as one
+/// output row. Only the projected cells are copied, so a scan can pass
+/// the version payload RowTable hands out by reference.
+void AppendProjected(const Row& row, const ScanSpec& spec, Batch* out) {
+  for (size_t j = 0; j < spec.projection.size(); ++j) {
+    out->cols[j].PushValue(row[spec.projection[j]]);
+  }
+  ++out->rows;
+}
+
 /// Scan over an MVCC row table.
 ///
 /// Row mode: the first Next() materializes the projected columns of the
@@ -38,18 +60,19 @@ bool MatchesPushdowns(const Row& row, const ScanSpec& spec) {
 ///
 /// Batch mode: Open() only positions a slot cursor; NextBatch fills
 /// column vectors by covering the slot space with batch-sized ScanRange
-/// chunks. RowTable::ScanRange guarantees a disjoint cover meters exactly
-/// like one Scan, and output_rows is charged per emitted row either way,
-/// so both modes charge identical WorkMeter totals.
+/// chunks. Pushdowns evaluate on the visible row as RowTable hands it out
+/// (by reference, no copy for an unfolded chain head), and only the
+/// projected cells are appended. RowTable::ScanRange guarantees a
+/// disjoint cover meters exactly like one Scan, and output_rows is
+/// charged per emitted row either way, so both modes charge identical
+/// WorkMeter totals.
 class RowScanOp final : public Operator {
  public:
   RowScanOp(const RowTable* table, Ts snapshot, ScanSpec spec)
-      : table_(table), snapshot_(snapshot), spec_(std::move(spec)) {
-    types_.reserve(spec_.projection.size());
-    for (size_t col : spec_.projection) {
-      types_.push_back(table_->schema().column(col).type);
-    }
-  }
+      : table_(table),
+        snapshot_(snapshot),
+        spec_(std::move(spec)),
+        types_(ProjectedTypes(*table_, spec_)) {}
 
   void Open(ExecContext* ctx) override {
     prof_.OpenBegin(ctx, "RowScan", "table=" + spec_.table);
@@ -107,10 +130,7 @@ class RowScanOp final : public Operator {
     size_t emitted = 0;
     const auto visit = [&](Rid, const Row& row) {
       if (!MatchesPushdowns(row, spec_)) return true;
-      for (size_t j = 0; j < spec_.projection.size(); ++j) {
-        out->cols[j].PushValue(row[spec_.projection[j]]);
-      }
-      ++out->rows;
+      AppendProjected(row, spec_, out);
       ++emitted;
       return true;
     };
@@ -729,6 +749,13 @@ class ColumnScanOp final : public Operator {
 /// range predicate, fetches visible rows, applies the residual predicates
 /// and projects. Used when a query plan hints an index that exists in the
 /// physical schema (Figure 6b, "all indexes").
+///
+/// Row mode fetches each rid with RowTable::Read (a full-row copy) and is
+/// the oracle. Batch mode fetches the rids of one batch through
+/// RowTable::VisitRids, which meters every rid exactly like Read but
+/// hands out the visible row by reference, and appends only the
+/// projected cells of the matches — so both modes emit the same rows in
+/// the same batches and charge identical WorkMeter totals.
 class IndexRangeScanOp final : public Operator {
  public:
   IndexRangeScanOp(const RowTable* table, const IndexInfo* index,
@@ -737,12 +764,14 @@ class IndexRangeScanOp final : public Operator {
         index_(index),
         snapshot_(snapshot),
         spec_(std::move(spec)),
-        bounds_(bounds) {}
+        bounds_(bounds),
+        types_(ProjectedTypes(*table_, spec_)) {}
 
   void Open(ExecContext* ctx) override {
     prof_.OpenBegin(ctx, "IndexScan",
                     "table=" + spec_.table + " index=" + spec_.index_hint);
     // Materialize candidate rids from the index (bounded range).
+    rids_.clear();
     std::string lo;
     std::string hi;
     key::EncodeInt64(static_cast<int64_t>(bounds_.lo), &lo);
@@ -775,12 +804,40 @@ class IndexRangeScanOp final : public Operator {
     });
   }
 
+  bool NextBatch(ExecContext* ctx, Batch* out) override {
+    return prof_.NextBatch(ctx, out, [&] { return NextBatchImpl(ctx, out); });
+  }
+
+  bool NextBatchImpl(ExecContext* ctx, Batch* out) {
+    out->ResetTypes(types_);
+    size_t emitted = 0;
+    const auto visit = [&](Rid, const Row& row) {
+      if (!MatchesPushdowns(row, spec_)) return true;
+      AppendProjected(row, spec_, out);
+      ++emitted;
+      return true;
+    };
+    // Each rid yields at most one row, so fetching no more rids than the
+    // batch has room for never overfills it: a batch ends after exactly
+    // batch_rows matches, or at the last rid.
+    while (out->rows < ctx->batch_rows && pos_ < rids_.size()) {
+      const size_t n =
+          std::min(rids_.size() - pos_, ctx->batch_rows - out->rows);
+      table_->VisitRids(snapshot_, rids_.data() + pos_, n, visit,
+                        ctx->meter);
+      pos_ += n;
+    }
+    if (ctx->meter != nullptr) ctx->meter->output_rows += emitted;
+    return out->rows > 0;
+  }
+
  private:
   const RowTable* table_;
   const IndexInfo* index_;
   Ts snapshot_;
   ScanSpec spec_;
   NumRange bounds_;
+  std::vector<DataType> types_;
   std::vector<Rid> rids_;
   size_t pos_ = 0;
   OpProfiler prof_;

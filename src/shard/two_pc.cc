@@ -1,5 +1,6 @@
 #include "shard/two_pc.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace hattrick {
@@ -56,14 +57,21 @@ bool TwoPcRecord::Decode(const std::string& bytes, TwoPcRecord* out) {
   if (bytes.size() < 2) return false;
   const uint8_t kind_byte = static_cast<uint8_t>(bytes[0]);
   if (kind_byte > 1) return false;
+  // The decision flag is a strict boolean byte: any other value would
+  // decode to a record that re-encodes differently.
+  const uint8_t commit_byte = static_cast<uint8_t>(bytes[1]);
+  if (commit_byte > 1) return false;
   out->kind = static_cast<Kind>(kind_byte);
-  out->commit = bytes[1] != 0;
+  out->commit = commit_byte == 1;
   size_t pos = 2;
   uint32_t count = 0;
   if (!GetU64(bytes, &pos, &out->gtid)) return false;
   if (!GetU32(bytes, &pos, &count)) return false;
   out->participants.clear();
-  out->participants.reserve(count);
+  // A corrupt count must not drive the allocation: reserve no more
+  // participants than the remaining bytes can hold.
+  out->participants.reserve(
+      std::min<size_t>(count, (bytes.size() - pos) / 4));
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t shard = 0;
     if (!GetU32(bytes, &pos, &shard)) return false;

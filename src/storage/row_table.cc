@@ -263,36 +263,6 @@ Ts RowTable::LatestVersionTs(Rid rid) const {
       slots_[rid].head.load(std::memory_order_acquire));
 }
 
-void RowTable::Scan(Ts snapshot,
-                    const std::function<bool(Rid, const Row&)>& visitor,
-                    WorkMeter* meter) const {
-  ScanRange(snapshot, 0, kMaxTs, visitor, meter);
-}
-
-void RowTable::ScanRange(Ts snapshot, Rid begin, Rid end,
-                         const std::function<bool(Rid, const Row&)>& visitor,
-                         WorkMeter* meter) const {
-  SharedReaderLock lock(&latch_);
-  mvcc::EpochManager::Guard guard;
-  end = std::min<Rid>(end, slots_.size());
-  Row row;
-  for (Rid rid = begin; rid < end; ++rid) {
-    const VersionNode* head =
-        slots_[rid].head.load(std::memory_order_acquire);
-    // A heap scan reads every version physically present in the slot
-    // (dead-tuple bloat, the PostgreSQL behaviour Vacuum exists to fix);
-    // meter the whole chain, not just the hops to the visible version.
-    if (meter != nullptr) {
-      meter->version_hops += mvcc::ChainLength(head);
-    }
-    mvcc::FoldObservation obs;
-    if (mvcc::FoldVisible(head, snapshot, &row, &obs, nullptr)) {
-      if (meter != nullptr) ++meter->rows_read;
-      if (!visitor(rid, row)) return;
-    }
-  }
-}
-
 size_t RowTable::NumSlots() const {
   SharedReaderLock lock(&latch_);
   return slots_.size();

@@ -1,9 +1,9 @@
 #ifndef HATTRICK_STORAGE_ROW_TABLE_H_
 #define HATTRICK_STORAGE_ROW_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/mutex.h"
@@ -112,19 +112,74 @@ class RowTable {
   Ts LatestVersionTs(Rid rid) const;
 
   /// Visits every row visible at `snapshot` in rid order; return false
-  /// from the visitor to stop.
-  void Scan(Ts snapshot,
-            const std::function<bool(Rid, const Row&)>& visitor,
-            WorkMeter* meter) const;
+  /// from the visitor to stop. `visitor` is any callable
+  /// `bool(Rid, const Row&)`; it is inlined, not type-erased.
+  ///
+  /// By-reference contract: the `const Row&` a scan hands its visitor is
+  /// valid only until that call returns. When the visible version is the
+  /// chain head — a committed full version at or below the snapshot, the
+  /// common case — it is that version's payload itself, with no copy:
+  /// committed payloads are immutable, and the shared latch and epoch
+  /// guard held across the callback keep the node allocated. Any other
+  /// chain (delta run, pending, aborted or newer head) is folded into one
+  /// scratch row that the next folded rid overwrites. Copy what must
+  /// outlive the call, and do not call back into this table's writers
+  /// from the visitor.
+  template <typename Visitor>
+  void Scan(Ts snapshot, Visitor&& visitor, WorkMeter* meter) const {
+    ScanRange(snapshot, 0, kMaxTs, visitor, meter);
+  }
 
   /// Like Scan but restricted to rids in [begin, end) — the row-store
   /// morsel primitive for parallel heap scans. Metering per rid is
   /// identical to Scan (whole-chain version_hops, rows_read per visible
   /// row), so a full cover of disjoint ranges meters exactly like one
   /// Scan. `end` past the slot count is clamped.
-  void ScanRange(Ts snapshot, Rid begin, Rid end,
-                 const std::function<bool(Rid, const Row&)>& visitor,
-                 WorkMeter* meter) const;
+  template <typename Visitor>
+  void ScanRange(Ts snapshot, Rid begin, Rid end, Visitor&& visitor,
+                 WorkMeter* meter) const {
+    SharedReaderLock lock(&latch_);
+    mvcc::EpochManager::Guard guard;
+    end = std::min<Rid>(end, slots_.size());
+    Row scratch;
+    for (Rid rid = begin; rid < end; ++rid) {
+      const mvcc::VersionNode* head =
+          slots_[rid].head.load(std::memory_order_acquire);
+      // A heap scan reads every version physically present in the slot
+      // (dead-tuple bloat, the PostgreSQL behaviour Vacuum exists to
+      // fix); meter the whole chain, not just the hops to the visible
+      // version.
+      if (meter != nullptr) meter->version_hops += mvcc::ChainLength(head);
+      const Row* row = mvcc::VisibleRow(head, snapshot, &scratch, nullptr);
+      if (row == nullptr) continue;
+      if (meter != nullptr) ++meter->rows_read;
+      if (!visitor(rid, *row)) return;
+    }
+  }
+
+  /// Visits the version of each of `rids[0, n)` visible at `snapshot`, in
+  /// list order, skipping rids with no visible version (and rids out of
+  /// range); return false from the visitor to stop. Each rid meters
+  /// exactly like Read (version_hops up to the resolved version,
+  /// rows_read when visible), and the visitor gets a reference under the
+  /// same contract as Scan's. One latch acquisition covers the whole
+  /// list, so callers bound `n` (index scans pass one batch of rids).
+  template <typename Visitor>
+  void VisitRids(Ts snapshot, const Rid* rids, size_t n, Visitor&& visitor,
+                 WorkMeter* meter) const {
+    SharedReaderLock lock(&latch_);
+    mvcc::EpochManager::Guard guard;
+    Row scratch;
+    for (size_t i = 0; i < n; ++i) {
+      const Rid rid = rids[i];
+      if (rid >= slots_.size()) continue;
+      const Row* row = mvcc::VisibleRow(
+          slots_[rid].head.load(std::memory_order_acquire), snapshot,
+          &scratch, meter);
+      if (row == nullptr) continue;
+      if (!visitor(rid, *row)) return;
+    }
+  }
 
   /// Number of slots (including rows whose newest version is a delete).
   size_t NumSlots() const;

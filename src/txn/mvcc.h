@@ -238,6 +238,30 @@ inline bool FoldVisible(const VersionNode* head, Ts snapshot, Row* out,
   return false;  // row did not exist at snapshot
 }
 
+/// FoldVisible for readers that only look at the visible row, without
+/// copying it when they do not have to. If the chain head is a committed
+/// full version at or below the snapshot (nothing newer to skip, no delta
+/// to fold), the visible row is the head's payload, and a pointer to it
+/// is returned. Every other chain folds into *scratch exactly as
+/// FoldVisible does, and the result points at *scratch. Returns nullptr
+/// if no version is visible. Meters exactly like FoldVisible.
+///
+/// A returned payload pointer stays valid while the caller holds an
+/// EpochManager::Guard (committed payloads are never written again); a
+/// returned `scratch` stays valid until *scratch is next written.
+inline const Row* VisibleRow(const VersionNode* head, Ts snapshot,
+                             Row* scratch, WorkMeter* meter) {
+  if (head != nullptr && StatusOf(head) == VersionStatus::kCommitted &&
+      head->cts.load(std::memory_order_relaxed) <= snapshot) {
+    if (meter != nullptr) ++meter->version_hops;
+    if (head->tombstone) return nullptr;  // deleted as of snapshot
+    if (meter != nullptr) ++meter->rows_read;
+    return &head->payload;
+  }
+  return FoldVisible(head, snapshot, scratch, nullptr, meter) ? scratch
+                                                              : nullptr;
+}
+
 /// cts of the newest committed full (non-delta) version, 0 if none.
 /// Tombstones count (their cts ends visibility).
 inline Ts NewestCommittedFullCts(const VersionNode* head) {

@@ -1,10 +1,16 @@
 #include "txn/wal.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace hattrick {
 
 namespace {
+
+// Smallest encodings: an op is kind + table id + rid + arity; a value is
+// its type tag plus at least a 4-byte string length.
+constexpr size_t kMinOpBytes = 1 + 4 + 8 + 4;
+constexpr size_t kMinValueBytes = 1 + 4;
 
 void PutU64(uint64_t v, std::string* out) {
   char buf[8];
@@ -116,7 +122,11 @@ StatusOr<WalRecord> WalRecord::Decode(const std::string& bytes) {
       !GetU64(bytes, &pos, &rec.txn_num) || !GetU32(bytes, &pos, &num_ops)) {
     return Status::InvalidArgument("truncated WAL header");
   }
-  rec.ops.reserve(num_ops);
+  // Counts come off the wire: reserve no more than the remaining bytes
+  // could hold, so a corrupt count is rejected as truncation instead of
+  // attempting a huge allocation.
+  rec.ops.reserve(
+      std::min<size_t>(num_ops, (bytes.size() - pos) / kMinOpBytes));
   for (uint32_t i = 0; i < num_ops; ++i) {
     WalOp op;
     if (pos >= bytes.size()) return Status::InvalidArgument("truncated op");
@@ -142,7 +152,8 @@ StatusOr<WalRecord> WalRecord::Decode(const std::string& bytes) {
     if (!GetU32(bytes, &pos, &arity)) {
       return Status::InvalidArgument("truncated op header");
     }
-    op.row.reserve(arity);
+    op.row.reserve(
+        std::min<size_t>(arity, (bytes.size() - pos) / kMinValueBytes));
     for (uint32_t c = 0; c < arity; ++c) {
       Value v;
       if (!GetValue(bytes, &pos, &v)) {

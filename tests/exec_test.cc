@@ -642,13 +642,83 @@ TEST_F(ScanTest, ColumnScanBatchPrunesLikeRowOracle) {
 }
 
 TEST_F(ScanTest, IndexScanBatchMatchesRowOracle) {
-  // Index range scans stay row-native; this exercises the base-class
-  // row-to-batch adapter end to end.
+  // The index range scan's native batch path (rid fetches through
+  // RowTable::VisitRids, rows by reference) against its Read-based row
+  // path.
   RowDataSource source(&catalog_, 1);
   ScanSpec spec = BaseSpec();
   spec.ranges = {{0, 50, 400}};
   spec.index_hint = "t_k";
   ExpectBatchMatchesRowOracle([&] { return source.Scan(spec); });
+
+  // It is the batch path that ran: the profile counts the index scan's
+  // batches (row-at-a-time Next calls count none).
+  obs::PlanProfile profile;
+  ExecContext ctx;
+  ctx.batch_rows = 1024;
+  ctx.profile = &profile;
+  OperatorPtr plan = source.Scan(spec);
+  EXPECT_EQ(Collect(plan.get(), &ctx).size(), 351u);
+  ASSERT_EQ(profile.size(), 1u);
+  EXPECT_EQ(profile.node(0).name, "IndexScan");
+  EXPECT_EQ(profile.node(0).batches, 1u);
+}
+
+TEST_F(ScanTest, RowStoreScansOverVersionChainsMatchRowOracle) {
+  // Give the table every kind of chain a row-store scan resolves: full
+  // updates, delta runs, tombstones, and pending and aborted heads. The
+  // key column (0) keeps its value, so the index still finds every rid.
+  Rng rng(5);
+  int pending = 0;
+  for (Rid rid = 0; rid < 2500; rid += 3) {
+    const Ts ts = 2 + static_cast<Ts>(rng.Uniform(0, 8));
+    const Row after{int64_t(rid), static_cast<double>(rid) + 0.25,
+                    std::string(rid % 2 == 0 ? "even" : "odd")};
+    switch (rng.Uniform(0, 4)) {
+      case 0:
+        ASSERT_TRUE(table_->AddVersion(rid, after, ts, nullptr).ok());
+        break;
+      case 1:
+        ASSERT_TRUE(
+            table_->AddDeltaVersion(rid, 1, Value(1.5), ts, nullptr).ok());
+        ASSERT_TRUE(
+            table_->AddDeltaVersion(rid, 1, Value(2.0), ts + 1, nullptr)
+                .ok());
+        break;
+      case 2:
+        ASSERT_TRUE(table_->MarkDeleted(rid, ts, nullptr).ok());
+        break;
+      case 3: {
+        mvcc::VersionNode* node =
+            table_->TryInstallFull(rid, after, &pending, kMaxTs, nullptr);
+        ASSERT_NE(node, nullptr);
+        mvcc::Withdraw(node);
+        break;
+      }
+      default:
+        ASSERT_NE(table_->TryInstallFull(rid, after, &pending, kMaxTs,
+                                         nullptr),
+                  nullptr);  // left in flight
+        break;
+    }
+  }
+  for (const Ts snapshot : {Ts{1}, Ts{4}, Ts{7}, Ts{20}}) {
+    SCOPED_TRACE("snapshot=" + std::to_string(snapshot));
+    RowDataSource source(&catalog_, snapshot);
+    ScanSpec heap = BaseSpec();
+    heap.projection = {0, 1, 2};
+    heap.ranges = {{1, 100, 1000}};
+    EXPECT_FALSE(
+        ExpectBatchMatchesRowOracle([&] { return source.Scan(heap); })
+            .empty());
+    ScanSpec index = heap;
+    index.ranges = {{0, 150, 1700}, {1, 100, 800}};
+    index.str_in = {{2, {"odd"}}};
+    index.index_hint = "t_k";
+    EXPECT_FALSE(
+        ExpectBatchMatchesRowOracle([&] { return source.Scan(index); })
+            .empty());
+  }
 }
 
 TEST_F(ScanTest, FullPlanOverColumnScanMatchesRowOracle) {

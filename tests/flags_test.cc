@@ -96,6 +96,55 @@ TEST(FlagsTest, GetPositiveIntRejectsGarbage) {
       ::testing::ExitedWithCode(2), "got '99999999999'");
 }
 
+TEST(FlagsTest, GetIntAcceptsSignedIntegers) {
+  EXPECT_EQ(Parse({"--seed=-3"}).GetInt("seed", 7), -3);
+  EXPECT_EQ(Parse({"--seed=0"}).GetInt("seed", 7), 0);
+  EXPECT_EQ(Parse({"--seed=2147483647"}).GetInt("seed", 7), 2147483647);
+}
+
+TEST(FlagsTest, GetIntRejectsGarbage) {
+  // atoi would have run these silently with 0 (or a truncated value).
+  EXPECT_EXIT(Parse({"--seed=abc"}).GetInt("seed", 7),
+              ::testing::ExitedWithCode(2),
+              "--seed: expected an integer, got 'abc'");
+  EXPECT_EXIT(Parse({"--seed="}).GetInt("seed", 7),
+              ::testing::ExitedWithCode(2), "got ''");
+  EXPECT_EXIT(Parse({"--t=4x"}).GetInt("t", 4), ::testing::ExitedWithCode(2),
+              "got '4x'");
+  EXPECT_EXIT(Parse({"--t=2.5"}).GetInt("t", 4), ::testing::ExitedWithCode(2),
+              "got '2.5'");
+  EXPECT_EXIT(Parse({"--t=2147483648"}).GetInt("t", 4),
+              ::testing::ExitedWithCode(2), "got '2147483648'");
+  EXPECT_EXIT(Parse({"--t=-99999999999999999999"}).GetInt("t", 4),
+              ::testing::ExitedWithCode(2), "got '-99999999999999999999'");
+  // Bounded ints parse strictly too, before clamping.
+  EXPECT_EXIT(Parse({"--dop=two"}).GetBoundedInt("dop", 1, 1, 64),
+              ::testing::ExitedWithCode(2), "--dop: expected an integer");
+  EXPECT_EQ(Parse({"--dop=100"}).GetBoundedInt("dop", 1, 1, 64), 64);
+}
+
+TEST(FlagsTest, GetDoubleAcceptsNumbers) {
+  EXPECT_DOUBLE_EQ(Parse({"--sf=10"}).GetDouble("sf", 1), 10.0);
+  EXPECT_DOUBLE_EQ(Parse({"--sf=-0.25"}).GetDouble("sf", 1), -0.25);
+  EXPECT_DOUBLE_EQ(Parse({"--sf=1e-3"}).GetDouble("sf", 1), 0.001);
+}
+
+TEST(FlagsTest, GetDoubleRejectsGarbage) {
+  EXPECT_EXIT(Parse({"--measure=fast"}).GetDouble("measure", 1),
+              ::testing::ExitedWithCode(2),
+              "--measure: expected a number, got 'fast'");
+  EXPECT_EXIT(Parse({"--measure="}).GetDouble("measure", 1),
+              ::testing::ExitedWithCode(2), "got ''");
+  EXPECT_EXIT(Parse({"--measure=0.5s"}).GetDouble("measure", 1),
+              ::testing::ExitedWithCode(2), "got '0.5s'");
+  EXPECT_EXIT(Parse({"--sf=1e999"}).GetDouble("sf", 1),
+              ::testing::ExitedWithCode(2), "got '1e999'");
+  EXPECT_EXIT(Parse({"--sf=nan"}).GetDouble("sf", 1),
+              ::testing::ExitedWithCode(2), "got 'nan'");
+  EXPECT_EXIT(Parse({"--sf=inf"}).GetDouble("sf", 1),
+              ::testing::ExitedWithCode(2), "got 'inf'");
+}
+
 TEST(FlagsTest, GetPositiveIntUsesFallbackWhenAbsent) {
   EXPECT_EQ(Parse({}).GetPositiveInt("batch-size", 1024), 1024);
 }

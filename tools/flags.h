@@ -3,6 +3,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -50,9 +51,21 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
+  /// Integer flag; `fallback` when absent. Empty text, trailing garbage
+  /// and values outside int are a usage error: the message goes to
+  /// stderr and the process exits with status 2.
   int GetInt(const std::string& key, int fallback) const {
     const auto it = Find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || v < INT_MIN ||
+        v > INT_MAX) {
+      UsageError(key, "an integer", text);
+    }
+    return static_cast<int>(v);
   }
 
   /// GetInt clamped to [lo, hi] — for knobs with a valid range (e.g.
@@ -76,16 +89,25 @@ class Flags {
     const long v = std::strtol(text, &end, 10);
     if (end == text || *end != '\0' || errno == ERANGE || v < 1 ||
         v > INT_MAX) {
-      std::fprintf(stderr, "--%s: expected a positive integer, got '%s'\n",
-                   key.c_str(), text);
-      std::exit(2);
+      UsageError(key, "a positive integer", text);
     }
     return static_cast<int>(v);
   }
 
+  /// Floating-point flag; `fallback` when absent. Empty text, trailing
+  /// garbage, overflow and non-finite values (inf, nan) are a usage
+  /// error, like GetInt's.
   double GetDouble(const std::string& key, double fallback) const {
     const auto it = Find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+      UsageError(key, "a number", text);
+    }
+    return v;
   }
 
   bool GetBool(const std::string& key, bool fallback) const {
@@ -121,6 +143,15 @@ class Flags {
   }
 
  private:
+  /// Prints "--key: expected <what>, got '<text>'" and exits with
+  /// status 2 (a usage error).
+  [[noreturn]] static void UsageError(const std::string& key,
+                                      const char* what, const char* text) {
+    std::fprintf(stderr, "--%s: expected %s, got '%s'\n", key.c_str(), what,
+                 text);
+    std::exit(2);
+  }
+
   std::map<std::string, std::string>::const_iterator Find(
       const std::string& key) const {
     read_.insert(key);
