@@ -31,8 +31,8 @@
 #   micro-ratio  wall-clock gate over micro_queries' star joins
 #            (Q2.1-Q4.3), same run (scripts/micro_ratio.py): on the
 #            column store the vectorized executor must take at most
-#            0.6x the row oracle's time, and the vectorized executor on
-#            the MVCC row store at most 3.5x its time on the column
+#            0.22x the row oracle's time, and the vectorized executor on
+#            the MVCC row store at most 6x its time on the column
 #            store; only ratios are gated, never absolute ns
 #   shard-smoke  full ctest suite with HATTRICK_SHARDS=4 (every
 #            tidb-dist construction goes through the 4-shard engine),

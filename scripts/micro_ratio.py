@@ -35,10 +35,16 @@ ROWSTORE_BATCH = "BM_QueryRowStoreBatch"
 # (name, numerator family, denominator family, maximum), all summed over
 # STAR_JOIN_QUERIES.
 GATES = [
-    ("batch/row", COLUMN_BATCH, COLUMN_ROW, 0.6),
-    # Copying every visible row out of its version chain measured about
-    # 4-5.6x; handing visible versions out by reference about 2.4-2.7x.
-    ("rowstore/col", ROWSTORE_BATCH, COLUMN_BATCH, 3.5),
+    # Without runtime join-key filters the batch path measured 0.27-0.42x
+    # of the row oracle; with them (the fact scan drops the rows no
+    # dimension join matches) 0.10-0.20x. The row oracle applies no
+    # filter, so this gate also fails when the filters stop dropping.
+    ("batch/row", COLUMN_BATCH, COLUMN_ROW, 0.22),
+    # Runtime filters speed the column store up more than the row store,
+    # so this ratio rose from about 2-3x to 2.3-3.9x. Copying every
+    # visible row out of its version chain (mvcc::VisibleRow always
+    # folding) measured 9.6-10.6x on top of the filters.
+    ("rowstore/col", ROWSTORE_BATCH, COLUMN_BATCH, 6.0),
 ]
 
 

@@ -87,6 +87,17 @@ class KeyIndex {
 
   size_t size() const { return size_; }
 
+  /// Sizes the table for `n` keys in one allocation, so inserting them
+  /// rehashes nothing. Only valid while the table is empty.
+  void Reserve(size_t n) {
+    assert(size_ == 0 && "Reserve on a non-empty KeyIndex");
+    size_t capacity = 16;
+    while (capacity < 2 * n) capacity *= 2;
+    if (capacity <= slots_.size()) return;
+    slots_.assign(capacity, Slot{});
+    mask_ = capacity - 1;
+  }
+
   /// The id stored for `key`, or kNone.
   uint32_t Find(const K& key) const {
     if (size_ == 0) return kNone;
@@ -147,9 +158,13 @@ class JoinTable {
  public:
   static constexpr uint32_t kNone = KeyIndex<K>::kNone;
 
-  /// Indexes build rows 0..keys.size()-1 by their key.
+  /// Indexes build rows 0..keys.size()-1 by their key. The key index
+  /// and the chain heads are sized once for all-distinct keys, so no
+  /// build rehashes.
   void Build(const std::vector<K>& keys) {
     assert(keys.size() < kNone && "row ids are uint32");
+    index_.Reserve(keys.size());
+    head_.reserve(keys.size());
     next_.assign(keys.size(), kNone);
     // Walking the rows backwards and pushing each onto its key's chain
     // head leaves every chain in ascending (insertion) order.
@@ -170,6 +185,9 @@ class JoinTable {
 
   /// Build row after `row` on its key's chain, or kNone.
   uint32_t Next(uint32_t row) const { return next_[row]; }
+
+  /// Number of distinct build keys.
+  size_t num_keys() const { return head_.size(); }
 
  private:
   KeyIndex<K> index_;

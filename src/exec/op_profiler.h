@@ -81,6 +81,15 @@ class OpProfiler {
     return ok;
   }
 
+  /// Counts `n` rows that a runtime join filter dropped below this
+  /// operator and that the unfiltered plan would have produced here, so
+  /// rows_out stays the logical (row-oracle) count.
+  void AddFilteredRows(uint64_t n) {
+    if (node_ == nullptr) return;
+    node_->rows_out += n;
+    node_->phys_rows += n;
+  }
+
   bool enabled() const { return node_ != nullptr; }
 
   /// The operator's node; null when profiling is off. Scans use it to

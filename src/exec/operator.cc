@@ -131,16 +131,20 @@ class ProjectOp final : public Operator {
 class HashJoinOp final : public Operator {
  public:
   HashJoinOp(OperatorPtr probe, size_t probe_key, OperatorPtr build,
-             size_t build_key)
+             size_t build_key, JoinFilterRef filter)
       : probe_(std::move(probe)),
         build_(std::move(build)),
         probe_key_(probe_key),
-        build_key_(build_key) {}
+        build_key_(build_key),
+        filter_(std::move(filter)) {}
 
   void Open(ExecContext* ctx) override {
     prof_.OpenBegin(ctx, "HashJoin",
                     "probe_key=" + std::to_string(probe_key_) +
                         " build_key=" + std::to_string(build_key_));
+    if (filter_.set != nullptr) filter_.set->filter(filter_.index).Reset();
+    charged_probes_ = 0;
+    charged_outputs_ = 0;
     probe_->Open(ctx);
     build_->Open(ctx);
     if (ctx->vectorized) {
@@ -210,11 +214,15 @@ class HashJoinOp final : public Operator {
       build_rows_ += active.size();
       if (ctx->meter != nullptr) ctx->meter->hash_probes += active.size();
     }
-    if (build_rows_ == 0) return;
+    if (build_rows_ == 0) {
+      PublishFilter({}, 0);
+      return;
+    }
     const ColumnVector& keys = build_cols_[build_key_];
     switch (keys.type()) {
       case DataType::kInt64:
         int_table_.Build(keys.ints);
+        PublishFilter(keys.ints, int_table_.num_keys());
         break;
       case DataType::kDouble:
         double_table_.Build(keys.doubles);
@@ -223,6 +231,32 @@ class HashJoinOp final : public Operator {
         string_table_.Build(keys.strings);
         break;
     }
+  }
+
+  /// Publishes the int64 build keys as this join's runtime filter when
+  /// they qualify (exec/join_filter.h); double and string keys publish
+  /// nothing.
+  void PublishFilter(const std::vector<int64_t>& keys, size_t distinct) {
+    if (filter_.set != nullptr) {
+      filter_.set->filter(filter_.index).Publish(keys, distinct);
+    }
+  }
+
+  /// Charges this join's share of the rows the scan below dropped at
+  /// runtime filters since the last call: one hash probe per row dropped
+  /// at this join's filter or a later one, and one output row per row
+  /// dropped at a later one (it would have matched here exactly once).
+  void ChargeFilteredRows(ExecContext* ctx) {
+    if (filter_.set == nullptr) return;
+    const uint64_t probes = filter_.set->DroppedFrom(filter_.index);
+    const uint64_t outputs = filter_.set->DroppedFrom(filter_.index + 1);
+    if (ctx->meter != nullptr) {
+      ctx->meter->hash_probes += probes - charged_probes_;
+      ctx->meter->output_rows += outputs - charged_outputs_;
+    }
+    prof_.AddFilteredRows(outputs - charged_outputs_);
+    charged_probes_ = probes;
+    charged_outputs_ = outputs;
   }
 
   /// Every scan emits schema-typed batches; a type-skewed build side
@@ -246,7 +280,9 @@ class HashJoinOp final : public Operator {
     out->Clear();
     while (out->rows < ctx->batch_rows) {
       if (chain_ == kNone && probe_pos_ >= probe_batch_.ActiveRows()) {
-        if (!probe_->NextBatch(ctx, &probe_batch_)) break;
+        const bool more = probe_->NextBatch(ctx, &probe_batch_);
+        ChargeFilteredRows(ctx);
+        if (!more) break;
         probe_pos_ = 0;
         // Output columns are typed by the probe batch: close the batch
         // at a probe-side type skew.
@@ -344,6 +380,11 @@ class HashJoinOp final : public Operator {
   OperatorPtr build_;
   size_t probe_key_;
   size_t build_key_;
+  // Runtime filter this join publishes, and the drops below it charged
+  // so far (ChargeFilteredRows).
+  JoinFilterRef filter_;
+  uint64_t charged_probes_ = 0;
+  uint64_t charged_outputs_ = 0;
 
   // Row oracle state.
   std::unordered_map<std::string, std::vector<Row>> row_table_;
@@ -722,9 +763,11 @@ OperatorPtr MakeProject(OperatorPtr child, std::vector<ExprPtr> exprs) {
 }
 
 OperatorPtr MakeHashJoin(OperatorPtr probe, size_t probe_key,
-                         OperatorPtr build, size_t build_key) {
+                         OperatorPtr build, size_t build_key,
+                         JoinFilterRef filter) {
   return std::make_unique<HashJoinOp>(std::move(probe), probe_key,
-                                      std::move(build), build_key);
+                                      std::move(build), build_key,
+                                      std::move(filter));
 }
 
 OperatorPtr MakeHashAggregate(OperatorPtr child, std::vector<ExprPtr> group_by,

@@ -10,6 +10,7 @@
 #include "common/work_meter.h"
 #include "exec/batch.h"
 #include "exec/expression.h"
+#include "exec/join_filter.h"
 #include "exec/morsel.h"
 #include "obs/plan_profile.h"
 #include "obs/trace.h"
@@ -127,6 +128,11 @@ struct ScanSpec {
   /// the whole table. Used by the parallel plans' fact-table shards.
   std::shared_ptr<MorselSet> morsels;
   uint32_t worker = 0;
+  /// Optional runtime join-key filters published by the hash joins above
+  /// this scan, in join order (exec/join_filter.h). Batch-mode row-store
+  /// and column-store scans drop the rows they reject; the row-at-a-time
+  /// Next path and index scans ignore them.
+  std::shared_ptr<JoinFilterSet> join_filters;
 };
 
 /// Engine-provided factory for base-table scans. The 13 SSB query plans
@@ -166,8 +172,12 @@ OperatorPtr MakeProject(OperatorPtr child, std::vector<ExprPtr> exprs);
 /// Hash join: materializes `build`, probes with `probe`. Output is
 /// probe row concatenated with build row. Join keys must be single
 /// columns on each side (all SSB joins are key/foreign-key equijoins).
+/// After a batch-mode build the join publishes its build keys into
+/// `filter` when they qualify (JoinKeyFilter::Publish); `filter` must be
+/// the entry of the scan below whose column is `probe_key`'s source.
 OperatorPtr MakeHashJoin(OperatorPtr probe, size_t probe_key,
-                         OperatorPtr build, size_t build_key);
+                         OperatorPtr build, size_t build_key,
+                         JoinFilterRef filter = {});
 
 /// One aggregate specification.
 struct AggSpec {

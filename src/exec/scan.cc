@@ -42,6 +42,38 @@ std::vector<DataType> ProjectedTypes(const RowTable& table,
   return types;
 }
 
+/// Runtime join filters a batch-mode scan applies: the leading published
+/// ones whose fact column is int64 in `schema` (a published filter holds
+/// int64 keys, and the join never matches keys of another type). Read at
+/// every call: the joins above publish in their Open, before the scan's
+/// first batch.
+size_t AppliedJoinFilters(const Schema& schema, const ScanSpec& spec) {
+  const JoinFilterSet* filters = spec.join_filters.get();
+  if (filters == nullptr) return 0;
+  const size_t published = filters->PublishedPrefix();
+  size_t n = 0;
+  while (n < published &&
+         schema.column(filters->column(n)).type == DataType::kInt64) {
+    ++n;
+  }
+  return n;
+}
+
+/// Accounts `n` rows the runtime join filters dropped at a scan: they
+/// cost the scan what emitting them would have (`values_per_row` column
+/// values plus one output row), and they count in the scan's logical
+/// rows_out and its join-filter drop count.
+void ChargeFilteredRows(size_t n, size_t values_per_row, ExecContext* ctx,
+                        OpProfiler* prof) {
+  if (n == 0) return;
+  if (ctx->meter != nullptr) {
+    ctx->meter->column_values += n * values_per_row;
+    ctx->meter->output_rows += n;
+  }
+  if (prof->enabled()) prof->node()->join_filter_dropped += n;
+  prof->AddFilteredRows(n);
+}
+
 /// Appends `row`'s projected cells to the typed vectors of *out as one
 /// output row. Only the projected cells are copied, so a scan can pass
 /// the version payload RowTable hands out by reference.
@@ -65,7 +97,8 @@ void AppendProjected(const Row& row, const ScanSpec& spec, Batch* out) {
 /// projected cells are appended. RowTable::ScanRange guarantees a
 /// disjoint cover meters exactly like one Scan, and output_rows is
 /// charged per emitted row either way, so both modes charge identical
-/// WorkMeter totals.
+/// WorkMeter totals. Batch mode also drops the rows the spec's runtime
+/// join filters reject, charging them as emitted (exec/join_filter.h).
 class RowScanOp final : public Operator {
  public:
   RowScanOp(const RowTable* table, Ts snapshot, ScanSpec spec)
@@ -127,9 +160,16 @@ class RowScanOp final : public Operator {
 
   bool NextBatchImpl(ExecContext* ctx, Batch* out) {
     out->ResetTypes(types_);
+    const size_t applied = AppliedJoinFilters(table_->schema(), spec_);
+    JoinFilterSet* filters = spec_.join_filters.get();
     size_t emitted = 0;
+    size_t dropped = 0;
     const auto visit = [&](Rid, const Row& row) {
       if (!MatchesPushdowns(row, spec_)) return true;
+      if (applied > 0 && !filters->Passes(row, applied)) {
+        ++dropped;
+        return true;
+      }
       AppendProjected(row, spec_, out);
       ++emitted;
       return true;
@@ -147,6 +187,7 @@ class RowScanOp final : public Operator {
       cursor_ = end;
     }
     if (ctx->meter != nullptr) ctx->meter->output_rows += emitted;
+    ChargeFilteredRows(dropped, /*values_per_row=*/0, ctx, &prof_);
     return out->rows > 0;
   }
 
@@ -207,6 +248,11 @@ class RowScanOp final : public Operator {
 /// A zone-map-pruned block with dirty bits still evaluates its dirty
 /// rows (the override values may match where the stale base could not);
 /// an impossible dictionary predicate prunes only the clean base lanes.
+///
+/// Every batch lane then drops the predicate survivors that the spec's
+/// runtime join filters reject, before gathering any projected column,
+/// and charges them as emitted (exec/join_filter.h). The row path
+/// applies no filter.
 class ColumnScanOp final : public Operator {
  public:
   ColumnScanOp(const ColumnTable* table, size_t bound,
@@ -318,6 +364,7 @@ class ColumnScanOp final : public Operator {
   bool NextBatchImpl(ExecContext* ctx, Batch* out) {
     out->ResetTypes(types_);
     if (impossible_ && delta_ == nullptr) return false;
+    applied_ = AppliedJoinFilters(table_->schema(), spec_);
     while (true) {
       while (row_ < limit_) {
         // Same pruning condition as the row path.
@@ -457,6 +504,7 @@ class ColumnScanOp final : public Operator {
       }
       match_.resize(kept);
     }
+    const size_t dropped = FilterCleanRids();
     for (size_t j = 0; j < spec_.projection.size(); ++j) {
       const size_t col = spec_.projection[j];
       ColumnVector& dst = out->cols[j];
@@ -487,6 +535,7 @@ class ColumnScanOp final : public Operator {
           match_.size() * spec_.projection.size();
       ctx->meter->output_rows += match_.size();
     }
+    ChargeFilteredRows(dropped, spec_.projection.size(), ctx, &prof_);
   }
 
   /// ScanRun for a base run containing dirty rids: clean rids go through
@@ -540,6 +589,7 @@ class ColumnScanOp final : public Operator {
       }
       match_.resize(kept);
     }
+    size_t dropped = FilterCleanRids();
     emits_.clear();
     size_t ci = 0;  // clean survivors cursor
     for (const uint32_t r : dirty_rows_) {
@@ -547,7 +597,12 @@ class ColumnScanOp final : public Operator {
         emits_.push_back(EmitRef{match_[ci++], nullptr});
       }
       const Row& row = delta_->OverrideRow(r);
-      if (MatchesPushdowns(row, spec_)) emits_.push_back(EmitRef{r, &row});
+      if (!MatchesPushdowns(row, spec_)) continue;
+      if (PassesJoinFilters(row)) {
+        emits_.push_back(EmitRef{r, &row});
+      } else {
+        ++dropped;
+      }
     }
     while (ci < match_.size()) {
       emits_.push_back(EmitRef{match_[ci++], nullptr});
@@ -596,6 +651,7 @@ class ColumnScanOp final : public Operator {
           emits_.size() * spec_.projection.size();
       ctx->meter->output_rows += emits_.size();
     }
+    ChargeFilteredRows(dropped, spec_.projection.size(), ctx, &prof_);
   }
 
   /// Run over a zone-map-pruned (or dictionary-impossible) base block:
@@ -629,8 +685,13 @@ class ColumnScanOp final : public Operator {
     }
   }
 
-  /// Projects a matching version row into the batch vectors.
+  /// Projects a matching version row into the batch vectors, unless the
+  /// runtime join filters drop it.
   void EmitRowToBatch(const Row& row, ExecContext* ctx, Batch* out) {
+    if (!PassesJoinFilters(row)) {
+      ChargeFilteredRows(1, spec_.projection.size(), ctx, &prof_);
+      return;
+    }
     for (size_t j = 0; j < spec_.projection.size(); ++j) {
       const size_t col = spec_.projection[j];
       ColumnVector& dst = out->cols[j];
@@ -669,6 +730,32 @@ class ColumnScanOp final : public Operator {
       ++ctx->meter->output_rows;
     }
     return true;
+  }
+
+  /// Drops the clean-lane rids in match_ that the applied runtime
+  /// filters reject, one filter at a time in join order (each drop
+  /// counts at the first filter that rejects the row). Returns how many
+  /// were dropped.
+  size_t FilterCleanRids() {
+    size_t dropped = 0;
+    for (size_t i = 0; i < applied_; ++i) {
+      JoinKeyFilter& f = spec_.join_filters->filter(i);
+      const int64_t* keys = table_->IntData(spec_.join_filters->column(i));
+      size_t kept = 0;
+      for (const uint32_t r : match_) {
+        if (f.Contains(keys[r])) match_[kept++] = r;
+      }
+      f.AddDropped(match_.size() - kept);
+      dropped += match_.size() - kept;
+      match_.resize(kept);
+    }
+    return dropped;
+  }
+
+  /// Whether a version row passes the applied runtime filters (a
+  /// rejected row counts as dropped at the first filter rejecting it).
+  bool PassesJoinFilters(const Row& row) {
+    return applied_ == 0 || spec_.join_filters->Passes(row, applied_);
   }
 
   bool BlockPruned(size_t block) const {
@@ -730,6 +817,7 @@ class ColumnScanOp final : public Operator {
   /// First insert-segment rid: delta_->base_rows, or bound_ without one.
   size_t base_rows_;
   ScanSpec spec_;
+  size_t applied_ = 0;  // runtime join filters applied by this batch call
   std::vector<DataType> types_;
   size_t row_ = 0;
   size_t limit_ = 0;

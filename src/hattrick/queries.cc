@@ -74,6 +74,10 @@ OperatorPtr BuildQ1(const DataSource& source, const FactShard* shard,
                                      std::move(aggs));
 }
 
+// Star joins declare one runtime join-key filter per dimension join on
+// the fact scan, in join order (exec/join_filter.h): each join publishes
+// its build keys and the scan drops the fact rows they exclude.
+
 /// SSB Q2 flight: SUM(LO_REVENUE) grouped by D_YEAR, P_BRAND1, with a
 /// part filter (category, brand, or brand range) and a supplier region
 /// filter. Join order: part (most selective) -> supplier -> date.
@@ -83,6 +87,9 @@ OperatorPtr BuildQ2(const DataSource& source, const FactShard* shard,
   lo_spec.table = kLineorder;
   lo_spec.projection = {lo::kPartKey, lo::kSuppKey, lo::kOrderDate,
                         lo::kRevenue};
+  const auto filters = std::make_shared<JoinFilterSet>(
+      std::vector<size_t>{lo::kPartKey, lo::kSuppKey, lo::kOrderDate});
+  lo_spec.join_filters = filters;
   ApplyShard(shard, &lo_spec);
   OperatorPtr plan = source.Scan(lo_spec);
   // Layout: 0=partkey 1=suppkey 2=orderdate 3=revenue.
@@ -92,7 +99,7 @@ OperatorPtr BuildQ2(const DataSource& source, const FactShard* shard,
   part_spec.projection = {part::kPartKey, part::kBrand1};
   part_spec.str_in = {std::move(part_filter)};
   plan = MakeHashJoin(std::move(plan), /*probe_key=*/0, source.Scan(part_spec),
-                      /*build_key=*/0);
+                      /*build_key=*/0, {filters, 0});
   // Layout: +4=p_partkey 5=p_brand1.
 
   ScanSpec supp_spec;
@@ -100,14 +107,14 @@ OperatorPtr BuildQ2(const DataSource& source, const FactShard* shard,
   supp_spec.projection = {supp::kSuppKey};
   supp_spec.str_in = {{supp::kRegion, {supp_region}}};
   plan = MakeHashJoin(std::move(plan), /*probe_key=*/1, source.Scan(supp_spec),
-                      /*build_key=*/0);
+                      /*build_key=*/0, {filters, 1});
   // Layout: +6=s_suppkey.
 
   ScanSpec date_spec;
   date_spec.table = kDate;
   date_spec.projection = {date::kDateKey, date::kYear};
   plan = MakeHashJoin(std::move(plan), /*probe_key=*/2, source.Scan(date_spec),
-                      /*build_key=*/0);
+                      /*build_key=*/0, {filters, 2});
   // Layout: +7=d_datekey 8=d_year.
 
   std::vector<AggSpec> aggs;
@@ -129,6 +136,9 @@ OperatorPtr BuildQ3(const DataSource& source, const FactShard* shard,
                         lo::kRevenue};
   lo_spec.ranges = {{lo::kOrderDate, static_cast<double>(date_lo),
                      static_cast<double>(date_hi)}};
+  const auto filters = std::make_shared<JoinFilterSet>(
+      std::vector<size_t>{lo::kCustKey, lo::kSuppKey, lo::kOrderDate});
+  lo_spec.join_filters = filters;
   ApplyShard(shard, &lo_spec);
   OperatorPtr plan = source.Scan(lo_spec);
   // Layout: 0=custkey 1=suppkey 2=orderdate 3=revenue.
@@ -138,7 +148,7 @@ OperatorPtr BuildQ3(const DataSource& source, const FactShard* shard,
   cust_spec.projection = {cust::kCustKey, c_col};
   cust_spec.str_in = {{c_col, std::move(c_values)}};
   plan = MakeHashJoin(std::move(plan), /*probe_key=*/0, source.Scan(cust_spec),
-                      /*build_key=*/0);
+                      /*build_key=*/0, {filters, 0});
   // Layout: +4=c_custkey 5=c_locale.
 
   ScanSpec supp_spec;
@@ -146,14 +156,14 @@ OperatorPtr BuildQ3(const DataSource& source, const FactShard* shard,
   supp_spec.projection = {supp::kSuppKey, s_col};
   supp_spec.str_in = {{s_col, std::move(s_values)}};
   plan = MakeHashJoin(std::move(plan), /*probe_key=*/1, source.Scan(supp_spec),
-                      /*build_key=*/0);
+                      /*build_key=*/0, {filters, 1});
   // Layout: +6=s_suppkey 7=s_locale.
 
   ScanSpec date_spec;
   date_spec.table = kDate;
   date_spec.projection = {date::kDateKey, date::kYear};
   plan = MakeHashJoin(std::move(plan), /*probe_key=*/2, source.Scan(date_spec),
-                      /*build_key=*/0);
+                      /*build_key=*/0, {filters, 2});
   // Layout: +8=d_datekey 9=d_year.
 
   std::vector<AggSpec> aggs;
@@ -188,6 +198,9 @@ OperatorPtr BuildQ4(const DataSource& source, const FactShard* shard,
                         lo::kOrderDate, lo::kRevenue, lo::kSupplyCost};
   lo_spec.ranges = {{lo::kOrderDate, static_cast<double>(f.date_lo),
                      static_cast<double>(f.date_hi)}};
+  const auto filters = std::make_shared<JoinFilterSet>(std::vector<size_t>{
+      lo::kCustKey, lo::kSuppKey, lo::kPartKey, lo::kOrderDate});
+  lo_spec.join_filters = filters;
   ApplyShard(shard, &lo_spec);
   OperatorPtr plan = source.Scan(lo_spec);
 
@@ -196,27 +209,27 @@ OperatorPtr BuildQ4(const DataSource& source, const FactShard* shard,
   cust_spec.projection = {cust::kCustKey, cust::kNation};
   cust_spec.str_in = {{cust::kRegion, f.c_region}};
   plan = MakeHashJoin(std::move(plan), /*probe_key=*/0, source.Scan(cust_spec),
-                      /*build_key=*/0);
+                      /*build_key=*/0, {filters, 0});
 
   ScanSpec supp_spec;
   supp_spec.table = kSupplier;
   supp_spec.projection = {supp::kSuppKey, supp::kCity, supp::kNation};
   supp_spec.str_in = {{f.s_col, f.s_values}};
   plan = MakeHashJoin(std::move(plan), /*probe_key=*/1, source.Scan(supp_spec),
-                      /*build_key=*/0);
+                      /*build_key=*/0, {filters, 1});
 
   ScanSpec part_spec;
   part_spec.table = kPart;
   part_spec.projection = {part::kPartKey, part::kCategory, part::kBrand1};
   part_spec.str_in = {{f.p_col, f.p_values}};
   plan = MakeHashJoin(std::move(plan), /*probe_key=*/2, source.Scan(part_spec),
-                      /*build_key=*/0);
+                      /*build_key=*/0, {filters, 2});
 
   ScanSpec date_spec;
   date_spec.table = kDate;
   date_spec.projection = {date::kDateKey, date::kYear};
   plan = MakeHashJoin(std::move(plan), /*probe_key=*/3, source.Scan(date_spec),
-                      /*build_key=*/0);
+                      /*build_key=*/0, {filters, 3});
 
   std::vector<AggSpec> aggs;
   aggs.push_back(AggSpec{AggSpec::Kind::kSum, Sub(Col(4), Col(5))});

@@ -59,6 +59,7 @@ void SumInto(PlanProfileNode* into, const PlanProfileNode& from) {
   into->rows_clean += from.rows_clean;
   into->rows_override += from.rows_override;
   into->rows_insert += from.rows_insert;
+  into->join_filter_dropped += from.join_filter_dropped;
   into->work_units += from.work_units;
   into->open_seconds += from.open_seconds;
   into->next_seconds += from.next_seconds;
@@ -203,6 +204,12 @@ void PlanProfile::RenderNode(int index, int depth, std::string* out) const {
             " override=" + std::to_string(node.rows_override) +
             " insert=" + std::to_string(node.rows_insert);
   }
+  if (node.join_filter_dropped > 0) {
+    *out += "\n";
+    out->append(static_cast<size_t>(depth) * 6, ' ');
+    *out += "      join filters: dropped=" +
+            std::to_string(node.join_filter_dropped);
+  }
   *out += "\n";
   for (const int child : node.children) {
     RenderNode(child, depth + 1, out);
@@ -242,6 +249,8 @@ std::string PlanProfile::ToJson() const {
            ",\"rows_clean\":" + std::to_string(n.rows_clean) +
            ",\"rows_override\":" + std::to_string(n.rows_override) +
            ",\"rows_insert\":" + std::to_string(n.rows_insert) +
+           ",\"join_filter_dropped\":" +
+           std::to_string(n.join_filter_dropped) +
            ",\"work_units\":" + std::to_string(n.work_units) +
            ",\"open_s\":" + FormatDouble(n.open_seconds) +
            ",\"next_s\":" + FormatDouble(n.next_seconds) +
@@ -271,6 +280,11 @@ std::string PlanProfile::Digest() const {
                std::to_string(n.rows_insert) + "/" +
                std::to_string(n.work_units),
            &hash);
+    // Mixed in only when set, so plans without runtime join filters keep
+    // the digests they had before the counter existed.
+    if (n.join_filter_dropped > 0) {
+      FnvMix("/jf" + std::to_string(n.join_filter_dropped), &hash);
+    }
   }
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx",

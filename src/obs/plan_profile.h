@@ -38,6 +38,11 @@ struct PlanProfileNode {
   uint64_t rows_override = 0;   // dirty/override rows evaluated
   uint64_t rows_insert = 0;     // insert-segment rows evaluated
 
+  /// Scan detail: rows a runtime join filter dropped before emission
+  /// (they still count in rows_out, which stays the logical count).
+  /// Zero for every other operator and in row mode.
+  uint64_t join_filter_dropped = 0;
+
   /// Inclusive work-meter units and injected-clock seconds: each covers
   /// this operator's Open + Next/NextBatch calls, children included
   /// (blocking operators drain children inside Open, streaming ones

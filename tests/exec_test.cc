@@ -4,8 +4,10 @@
 // index-assisted scans.
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "exec/batch.h"
 #include "exec/expression.h"
 #include "exec/hash_table.h"
+#include "exec/join_filter.h"
 #include "exec/operator.h"
 #include "exec/scan.h"
 #include "storage/catalog.h"
@@ -782,6 +785,45 @@ TEST(HashTableTest, JoinTableChainsDuplicatesInInsertionOrder) {
   EXPECT_EQ(table.First("z"), JoinTable<std::string>::kNone);
 }
 
+TEST(HashTableTest, ReservedTableMatchesUnreserved) {
+  // Keys with duplicates: each distinct key gets the id of its first
+  // insertion in both tables, whether or not the slots were pre-sized.
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; k < 3000; ++k) keys.push_back((k * 7919) % 2111 - 500);
+  KeyIndex<int64_t> reserved;
+  reserved.Reserve(keys.size());
+  KeyIndex<int64_t> grown;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const uint32_t fresh = static_cast<uint32_t>(i);
+    ASSERT_EQ(reserved.FindOrInsert(keys[i], fresh),
+              grown.FindOrInsert(keys[i], fresh));
+  }
+  EXPECT_EQ(reserved.size(), grown.size());
+  for (const int64_t k : keys) {
+    ASSERT_NE(reserved.Find(k), KeyIndex<int64_t>::kNone);
+    ASSERT_EQ(reserved.Find(k), grown.Find(k));
+  }
+  EXPECT_EQ(reserved.Find(1 << 20), KeyIndex<int64_t>::kNone);
+
+  // JoinTable::Build pre-sizes its index; every key's chain still lists
+  // its build rows in insertion order, as the growing table did.
+  JoinTable<int64_t> table;
+  table.Build(keys);
+  EXPECT_EQ(table.num_keys(), reserved.size());
+  std::map<int64_t, std::vector<uint32_t>> want;
+  for (size_t row = 0; row < keys.size(); ++row) {
+    want[keys[row]].push_back(static_cast<uint32_t>(row));
+  }
+  for (const auto& [key, rows] : want) {
+    std::vector<uint32_t> chain;
+    for (uint32_t r = table.First(key); r != JoinTable<int64_t>::kNone;
+         r = table.Next(r)) {
+      chain.push_back(r);
+    }
+    ASSERT_EQ(chain, rows) << "key " << key;
+  }
+}
+
 OperatorPtr JoinOf(const std::vector<Row>& probe,
                    const std::vector<Row>& build) {
   return MakeHashJoin(MakeValuesScan(probe), 0, MakeValuesScan(build), 0);
@@ -967,6 +1009,301 @@ TEST(KeyTypeRuleTest, IntAndDoubleNeverGroup) {
   EXPECT_DOUBLE_EQ(out[1][1].AsDouble(), 101.0);
   EXPECT_EQ(out[2][0].type(), DataType::kDouble);
   EXPECT_DOUBLE_EQ(out[2][1].AsDouble(), 10.0);
+}
+
+// --------------------------------------------------------------------------
+// Runtime join-key filters: the batch-mode fact scan drops the rows the
+// joins above it exclude, charged so that results, meter totals and the
+// per-node profile (logical rows_out, inclusive work) equal the row
+// oracle's, which applies no filter.
+// --------------------------------------------------------------------------
+
+TEST(JoinKeyFilterTest, PublishRules) {
+  JoinKeyFilter f;
+  ASSERT_TRUE(f.Publish({-3, 5, 64, 0}, 4));
+  for (const int64_t k : {-3, 5, 64, 0}) EXPECT_TRUE(f.Contains(k)) << k;
+  for (const int64_t k :
+       std::vector<int64_t>{-4, -2, 1, 63, 65, int64_t{1} << 40}) {
+    EXPECT_FALSE(f.Contains(k)) << k;
+  }
+  // Duplicate keys: the join is not 1:1, so nothing is published.
+  EXPECT_FALSE(f.Publish({1, 2, 2}, 2));
+  EXPECT_FALSE(f.published());
+  // The span bound is inclusive: 2 rows may span 2 * kMaxSpanPerRow keys.
+  const int64_t edge = 2 * static_cast<int64_t>(JoinKeyFilter::kMaxSpanPerRow);
+  EXPECT_TRUE(f.Publish({0, edge - 1}, 2));
+  EXPECT_FALSE(f.Publish({0, edge}, 2));
+  EXPECT_FALSE(f.Publish({INT64_MIN, INT64_MAX}, 2));
+  // The empty build side publishes the empty set.
+  ASSERT_TRUE(f.Publish({}, 0));
+  EXPECT_FALSE(f.Contains(0));
+  f.AddDropped(3);
+  f.Reset();
+  EXPECT_FALSE(f.published());
+  EXPECT_EQ(f.dropped(), 0u);
+}
+
+class JoinFilterTest : public ::testing::Test {
+ protected:
+  static constexpr int kFactRows = 2500;
+
+  // Fact columns: 0=id 1=a 2=b 3=c 4=v (double) 5=s (string).
+  static Row FactRow(int64_t i) {
+    return Row{i,
+               i % 40,
+               i % 7,
+               (i * 13) % 61,
+               static_cast<double>(i % 9),
+               std::string(i % 3 == 0 ? "x" : "y")};
+  }
+
+  void SetUp() override {
+    table_ = catalog_.CreateTable(
+        "f", Schema({{"id", DataType::kInt64},
+                     {"a", DataType::kInt64},
+                     {"b", DataType::kInt64},
+                     {"c", DataType::kInt64},
+                     {"v", DataType::kDouble},
+                     {"s", DataType::kString}}));
+    column_ = std::make_unique<ColumnTable>(table_->schema());
+    for (int64_t i = 0; i < kFactRows; ++i) {
+      table_->Insert(FactRow(i), 1, nullptr);
+      ASSERT_TRUE(column_->Append(FactRow(i), nullptr).ok());
+    }
+  }
+
+  /// Dimension rows {key, label} for `keys`.
+  static std::vector<Row> Dim(const std::vector<Value>& keys) {
+    std::vector<Row> rows;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      rows.push_back(R({keys[i], std::string("d") + std::to_string(i)}));
+    }
+    return rows;
+  }
+
+  static std::vector<Row> IntDim(int64_t lo, int64_t hi, int64_t step) {
+    std::vector<Value> keys;
+    for (int64_t k = lo; k <= hi; k += step) keys.emplace_back(k);
+    return Dim(keys);
+  }
+
+  /// One dimension join: the fact column it probes with, and its rows.
+  struct DimJoin {
+    size_t fact_column;
+    std::vector<Row> rows;
+  };
+
+  /// Star plan: the fact scan (projection a, b, c, v, s; `spec` supplies
+  /// pushdowns) under one hash join per entry of `joins`, in order, with
+  /// one runtime filter per join. Keeps the filter set in filters_.
+  OperatorPtr StarPlan(const DataSource& source,
+                       const std::vector<DimJoin>& joins,
+                       ScanSpec spec = ScanSpec()) {
+    spec.table = "f";
+    spec.projection = {1, 2, 3, 4, 5};
+    std::vector<size_t> columns;
+    for (const DimJoin& j : joins) columns.push_back(j.fact_column);
+    filters_ = std::make_shared<JoinFilterSet>(columns);
+    spec.join_filters = filters_;
+    OperatorPtr plan = source.Scan(spec);
+    for (size_t i = 0; i < joins.size(); ++i) {
+      plan = MakeHashJoin(std::move(plan), joins[i].fact_column - 1,
+                          MakeValuesScan(joins[i].rows), 0, {filters_, i});
+    }
+    return plan;
+  }
+
+  struct ProfiledRun {
+    std::vector<Row> rows;
+    WorkMeter meter;
+    obs::PlanProfile profile;
+  };
+
+  static void RunProfiled(const PlanFactory& make, bool vectorized,
+                          size_t batch_rows, ProfiledRun* run) {
+    ExecContext ctx{&run->meter};
+    ctx.vectorized = vectorized;
+    ctx.batch_rows = batch_rows;
+    ctx.profile = &run->profile;
+    OperatorPtr plan = make();
+    run->rows = Collect(plan.get(), &ctx);
+  }
+
+  /// Runs `make` through the row oracle and the batch path at batch
+  /// sizes 1, 2, 7 and 1024: rows, meter totals and every profile node's
+  /// rows_out and inclusive work must match the oracle. Returns the rows
+  /// the batch runs' scan dropped (the same at every size).
+  uint64_t ExpectMatchesOracle(const PlanFactory& make) {
+    ProfiledRun oracle;
+    RunProfiled(make, /*vectorized=*/false, 1, &oracle);
+    uint64_t dropped = 0;
+    for (const size_t batch_rows :
+         {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
+      SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+      ProfiledRun got;
+      RunProfiled(make, /*vectorized=*/true, batch_rows, &got);
+      EXPECT_EQ(got.rows, oracle.rows);
+      ExpectSameMeter(got.meter, oracle.meter);
+      EXPECT_EQ(got.meter.Total(), oracle.meter.Total());
+      EXPECT_EQ(got.profile.size(), oracle.profile.size());
+      uint64_t run_dropped = 0;
+      for (size_t i = 0;
+           i < std::min(got.profile.size(), oracle.profile.size()); ++i) {
+        const obs::PlanProfileNode& g = got.profile.node(i);
+        const obs::PlanProfileNode& o = oracle.profile.node(i);
+        EXPECT_EQ(g.name, o.name) << "node " << i;
+        EXPECT_EQ(g.rows_out, o.rows_out) << "node " << i << " " << g.name;
+        EXPECT_EQ(g.work_units, o.work_units)
+            << "node " << i << " " << g.name;
+        EXPECT_EQ(o.join_filter_dropped, 0u) << "the oracle filters nothing";
+        run_dropped += g.join_filter_dropped;
+      }
+      if (batch_rows == 1) dropped = run_dropped;
+      EXPECT_EQ(run_dropped, dropped);
+    }
+    return dropped;
+  }
+
+  /// The three int64 joins the tests vary: a (even keys), b (1, 3, 5)
+  /// and c (multiples of 3).
+  static std::vector<DimJoin> IntJoins() {
+    return {{1, IntDim(0, 38, 2)}, {2, IntDim(1, 5, 2)}, {3, IntDim(0, 60, 3)}};
+  }
+
+  Catalog catalog_;
+  RowTable* table_ = nullptr;
+  std::unique_ptr<ColumnTable> column_;
+  std::shared_ptr<JoinFilterSet> filters_;
+};
+
+TEST_F(JoinFilterTest, PublishedFiltersDropRowsOnBothStores) {
+  ColumnDataSource columns;
+  columns.AddTable("f", column_.get(), column_->num_rows());
+  RowDataSource rows(&catalog_, /*snapshot=*/1);
+  for (const DataSource* source :
+       std::vector<const DataSource*>{&columns, &rows}) {
+    SCOPED_TRACE(source == &columns ? "column store" : "row store");
+    const uint64_t dropped = ExpectMatchesOracle(
+        [&] { return StarPlan(*source, IntJoins()); });
+    // Every filter was published and dropped rows.
+    ASSERT_EQ(filters_->PublishedPrefix(), 3u);
+    for (size_t i = 0; i < 3; ++i) EXPECT_GT(filters_->filter(i).dropped(), 0u);
+    EXPECT_EQ(dropped, filters_->DroppedFrom(0));
+  }
+}
+
+TEST_F(JoinFilterTest, DuplicateBuildKeysStopTheAppliedPrefix) {
+  ColumnDataSource source;
+  source.AddTable("f", column_.get(), column_->num_rows());
+  // A duplicate key in the first join: no filter applies at all, though
+  // the later joins publish theirs.
+  std::vector<DimJoin> joins = IntJoins();
+  joins[0].rows.push_back(R({int64_t{4}, std::string("dup")}));
+  EXPECT_EQ(ExpectMatchesOracle([&] { return StarPlan(source, joins); }), 0u);
+  EXPECT_FALSE(filters_->filter(0).published());
+  EXPECT_TRUE(filters_->filter(2).published());
+
+  // A duplicate key in the second join: only the first filter applies.
+  joins = IntJoins();
+  joins[1].rows.push_back(R({int64_t{3}, std::string("dup")}));
+  EXPECT_GT(ExpectMatchesOracle([&] { return StarPlan(source, joins); }), 0u);
+  EXPECT_GT(filters_->filter(0).dropped(), 0u);
+  EXPECT_FALSE(filters_->filter(1).published());
+  EXPECT_TRUE(filters_->filter(2).published());
+  EXPECT_EQ(filters_->filter(2).dropped(), 0u);
+}
+
+TEST_F(JoinFilterTest, EmptyBuildSideDropsEverythingThatReachesIt) {
+  ColumnDataSource source;
+  source.AddTable("f", column_.get(), column_->num_rows());
+  std::vector<DimJoin> joins = IntJoins();
+  joins[1].rows.clear();
+  EXPECT_EQ(ExpectMatchesOracle([&] { return StarPlan(source, joins); }),
+            static_cast<uint64_t>(kFactRows));
+  EXPECT_TRUE(filters_->filter(1).published());
+  // Filter 0 drops the odd a keys; the empty set drops the rest.
+  EXPECT_EQ(filters_->filter(0).dropped(), kFactRows / 2u);
+  EXPECT_EQ(filters_->filter(1).dropped(), kFactRows / 2u);
+}
+
+TEST_F(JoinFilterTest, KeySpanOverTheBoundPublishesNothing) {
+  ColumnDataSource source;
+  source.AddTable("f", column_.get(), column_->num_rows());
+  const int64_t far =
+      2 * static_cast<int64_t>(JoinKeyFilter::kMaxSpanPerRow);
+  std::vector<DimJoin> joins = IntJoins();
+  joins[0].rows = Dim({Value(int64_t{0}), Value(far)});
+  EXPECT_EQ(ExpectMatchesOracle([&] { return StarPlan(source, joins); }), 0u);
+  EXPECT_FALSE(filters_->filter(0).published());
+  // One key closer and the span is within the bound.
+  joins[0].rows = Dim({Value(int64_t{0}), Value(far - 1)});
+  EXPECT_GT(ExpectMatchesOracle([&] { return StarPlan(source, joins); }), 0u);
+  EXPECT_TRUE(filters_->filter(0).published());
+}
+
+TEST_F(JoinFilterTest, DoubleAndStringKeysPublishNothing) {
+  ColumnDataSource columns;
+  columns.AddTable("f", column_.get(), column_->num_rows());
+  RowDataSource rows(&catalog_, /*snapshot=*/1);
+  const std::vector<DimJoin> joins = {
+      {4, Dim({Value(0.0), Value(2.0), Value(4.0)})},
+      {5, Dim({Value(std::string("x"))})},
+      {1, IntDim(0, 38, 2)}};
+  for (const DataSource* source :
+       std::vector<const DataSource*>{&columns, &rows}) {
+    SCOPED_TRACE(source == &columns ? "column store" : "row store");
+    EXPECT_EQ(ExpectMatchesOracle([&] { return StarPlan(*source, joins); }),
+              0u);
+    EXPECT_FALSE(filters_->filter(0).published());
+    EXPECT_FALSE(filters_->filter(1).published());
+    // The int join publishes, but it is behind the unpublished ones.
+    EXPECT_TRUE(filters_->filter(2).published());
+  }
+}
+
+TEST_F(JoinFilterTest, BitmapScanFiltersOverrideAndInsertRows) {
+  // Dirty rids in every base block, overrides with changed join keys and
+  // an insert segment. The id range keeps blocks 0 and 1 and prunes block
+  // 2 by its zone map, so block 2's overrides go through the dirty-only
+  // lane, blocks 0 and 1 through mixed runs.
+  auto delta = std::make_shared<ColumnDeltaSnapshot>();
+  delta->base_rows = kFactRows;
+  delta->dirty.assign((kFactRows + 63) / 64, 0);
+  for (size_t r = 5; r < kFactRows; r += 17) {
+    delta->dirty[r >> 6] |= uint64_t{1} << (r & 63);
+    Row row = FactRow(static_cast<int64_t>(r));
+    row[0] = Value(static_cast<int64_t>(r % 1500));
+    row[1] = Value(static_cast<int64_t>((r * 3) % 40));
+    delta->overrides.emplace(r, std::move(row));
+  }
+  for (int64_t i = 0; i < 300; ++i) {
+    Row row = FactRow(kFactRows + i);
+    row[0] = Value(i);
+    delta->inserts.push_back(std::move(row));
+  }
+  delta->bound = kFactRows + delta->inserts.size();
+  ColumnDataSource source;
+  source.AddTable("f", column_.get(), delta->bound, delta);
+  ScanSpec spec;
+  spec.ranges = {{0, 0, 1500}};
+  EXPECT_GT(
+      ExpectMatchesOracle([&] { return StarPlan(source, IntJoins(), spec); }),
+      0u);
+  EXPECT_EQ(filters_->PublishedPrefix(), 3u);
+
+  // The scan saw every lane.
+  ProfiledRun run;
+  RunProfiled([&] { return StarPlan(source, IntJoins(), spec); },
+              /*vectorized=*/true, 1024, &run);
+  const obs::PlanProfileNode* scan = nullptr;
+  for (size_t i = 0; i < run.profile.size(); ++i) {
+    if (run.profile.node(i).name == "ColumnScan") scan = &run.profile.node(i);
+  }
+  ASSERT_NE(scan, nullptr);
+  EXPECT_GT(scan->rows_override, 0u);
+  EXPECT_GT(scan->rows_insert, 0u);
+  EXPECT_GT(scan->blocks_pruned, 0u);
+  EXPECT_GT(scan->join_filter_dropped, 0u);
 }
 
 TEST(TypedJoinDeathTest, TypeSkewedBuildSideAborts) {

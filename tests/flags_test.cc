@@ -117,10 +117,18 @@ TEST(FlagsTest, GetIntRejectsGarbage) {
               ::testing::ExitedWithCode(2), "got '2147483648'");
   EXPECT_EXIT(Parse({"--t=-99999999999999999999"}).GetInt("t", 4),
               ::testing::ExitedWithCode(2), "got '-99999999999999999999'");
-  // Bounded ints parse strictly too, before clamping.
+  // Bounded ints parse strictly too, and reject out-of-range values
+  // instead of clamping them.
   EXPECT_EXIT(Parse({"--dop=two"}).GetBoundedInt("dop", 1, 1, 64),
               ::testing::ExitedWithCode(2), "--dop: expected an integer");
-  EXPECT_EQ(Parse({"--dop=100"}).GetBoundedInt("dop", 1, 1, 64), 64);
+  EXPECT_EXIT(Parse({"--dop=100"}).GetBoundedInt("dop", 1, 1, 64),
+              ::testing::ExitedWithCode(2),
+              "--dop: expected an integer in \\[1, 64\\], got '100'");
+  EXPECT_EXIT(Parse({"--dop=0"}).GetBoundedInt("dop", 1, 1, 64),
+              ::testing::ExitedWithCode(2), "got '0'");
+  EXPECT_EQ(Parse({"--dop=64"}).GetBoundedInt("dop", 1, 1, 64), 64);
+  EXPECT_EQ(Parse({"--dop=1"}).GetBoundedInt("dop", 1, 1, 64), 1);
+  EXPECT_EQ(Parse({}).GetBoundedInt("dop", 1, 1, 64), 1);
 }
 
 TEST(FlagsTest, GetDoubleAcceptsNumbers) {

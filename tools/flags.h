@@ -68,12 +68,18 @@ class Flags {
     return static_cast<int>(v);
   }
 
-  /// GetInt clamped to [lo, hi] — for knobs with a valid range (e.g.
-  /// --dop, where 0 or a negative value would be meaningless).
+  /// GetInt restricted to [lo, hi] — for knobs with a valid range (e.g.
+  /// --dop, where 0 or a negative value would be meaningless). A value
+  /// outside the range is a usage error like GetInt's, never clamped.
   int GetBoundedInt(const std::string& key, int fallback, int lo,
                     int hi) const {
     const int v = GetInt(key, fallback);
-    return v < lo ? lo : (v > hi ? hi : v);
+    if (v < lo || v > hi) {
+      const std::string what = "an integer in [" + std::to_string(lo) +
+                               ", " + std::to_string(hi) + "]";
+      UsageError(key, what.c_str(), Find(key)->second.c_str());
+    }
+    return v;
   }
 
   /// Integer for strictly positive knobs (e.g. --batch-size); `fallback`
