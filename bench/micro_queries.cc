@@ -6,12 +6,12 @@
 // BM_QueryRowStoreDop, on a 10x larger fact table where the scan
 // dominates thread startup).
 //
-// BM_QueryRowStore / BM_QueryColumnStore run the row-at-a-time oracle;
-// the *Batch variants run the vectorized executor at the default vector
-// width, and the *BatchSweep variants sweep the width over
-// 64/256/1024/4096 on the scan-dominated Q1.1 where batching matters
-// most. Both modes return bit-identical checksums, so the pairs isolate
-// pure interpretation overhead.
+// The *Batch variants run the executor at the default vector width;
+// BM_QueryColumnStoreUnit runs it one row per batch (batch_rows=1), and
+// the *BatchSweep variants sweep the width over 64/256/1024/4096 on the
+// scan-dominated Q1.1 where batching matters most. Every width returns
+// bit-identical checksums, so the pairs isolate pure interpretation
+// overhead.
 
 #include <benchmark/benchmark.h>
 
@@ -52,13 +52,12 @@ Fixture& GetFixture() {
 }
 
 void RunQuerySerial(benchmark::State& state, HtapEngine* engine,
-                    bool vectorized, size_t batch_rows) {
+                    size_t batch_rows) {
   const int qid = static_cast<int>(state.range(0));
   for (auto _ : state) {
     WorkMeter meter;
     AnalyticsSession session = engine->BeginAnalytics(&meter);
     ExecContext ctx{&meter};
-    ctx.vectorized = vectorized;
     if (batch_rows > 0) ctx.batch_rows = batch_rows;
     const QueryResult result = RunQuery(qid, *session.source, 4, &ctx);
     benchmark::DoNotOptimize(result.checksum);
@@ -66,25 +65,22 @@ void RunQuerySerial(benchmark::State& state, HtapEngine* engine,
   state.SetLabel(QueryName(qid));
 }
 
-void BM_QueryRowStore(benchmark::State& state) {
-  RunQuerySerial(state, GetFixture().shared.get(), /*vectorized=*/false, 0);
-}
-BENCHMARK(BM_QueryRowStore)->DenseRange(0, kNumQueries - 1);
-
-void BM_QueryColumnStore(benchmark::State& state) {
-  RunQuerySerial(state, GetFixture().hybrid.get(), /*vectorized=*/false, 0);
-}
-BENCHMARK(BM_QueryColumnStore)->DenseRange(0, kNumQueries - 1);
-
 void BM_QueryRowStoreBatch(benchmark::State& state) {
-  RunQuerySerial(state, GetFixture().shared.get(), /*vectorized=*/true, 0);
+  RunQuerySerial(state, GetFixture().shared.get(), 0);
 }
 BENCHMARK(BM_QueryRowStoreBatch)->DenseRange(0, kNumQueries - 1);
 
 void BM_QueryColumnStoreBatch(benchmark::State& state) {
-  RunQuerySerial(state, GetFixture().hybrid.get(), /*vectorized=*/true, 0);
+  RunQuerySerial(state, GetFixture().hybrid.get(), 0);
 }
 BENCHMARK(BM_QueryColumnStoreBatch)->DenseRange(0, kNumQueries - 1);
+
+/// The column-store executor at one row per batch: the denominator of
+/// the batch/unit gate (scripts/micro_ratio.py).
+void BM_QueryColumnStoreUnit(benchmark::State& state) {
+  RunQuerySerial(state, GetFixture().hybrid.get(), 1);
+}
+BENCHMARK(BM_QueryColumnStoreUnit)->DenseRange(0, kNumQueries - 1);
 
 /// Vector-width sweep on Q1.1 (scan + filter + global aggregate): the
 /// range argument is the batch size, so one run charts interpretation

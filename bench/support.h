@@ -103,10 +103,10 @@ BenchEnv MakeEnv(EngineKind kind, double scale_factor,
                  DistModel dist_model = DefaultDistModel(),
                  uint32_t shards = DefaultShards());
 
-/// Default measurement procedure for the figure benches. Execution mode
-/// follows the WorkloadConfig defaults: vectorized, with the batch width
-/// taken from HATTRICK_BATCH_ROWS when set (else 1024) — metered work is
-/// mode-independent, so figures are identical either way.
+/// Default measurement procedure for the figure benches. The batch width
+/// follows the WorkloadConfig default: HATTRICK_BATCH_ROWS when set (else
+/// 1024) — metered work does not depend on it, so figures are identical
+/// either way.
 WorkloadConfig DefaultRunConfig();
 
 /// Default saturation-method options.

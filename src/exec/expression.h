@@ -15,9 +15,9 @@ namespace hattrick {
 /// programmatically; there is no SQL parser in this reproduction).
 ///
 /// Two evaluation forms:
-///  - Eval: one row at a time. The original interpreter; retained as the
-///    fallback for nodes without a kernel and as the oracle the
-///    differential tests check the vectorized path against.
+///  - Eval: one row at a time. The fallback for nodes without a kernel
+///    and for mixed-type inputs, and OrderBy's comparator; the tests
+///    also check every kernel against it.
 ///  - EvalBatch: all physical rows of a Batch at once into a typed
 ///    ColumnVector. The built-in nodes override it with loop kernels
 ///    over the typed payloads (no per-cell variant dispatch, no virtual
@@ -68,11 +68,6 @@ ExprPtr Between(ExprPtr e, Value lo, Value hi);
 
 /// value IN (list).
 ExprPtr InList(ExprPtr e, std::vector<Value> candidates);
-
-/// Evaluates an expression as a boolean predicate.
-inline bool EvalBool(const Expr& e, const Row& row) {
-  return e.Eval(row).AsInt() != 0;
-}
 
 }  // namespace hattrick
 

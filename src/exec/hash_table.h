@@ -15,8 +15,9 @@ namespace hattrick {
 
 /// Appends the operator-local key of `v` to `out`: a one-byte type tag
 /// followed by the memcomparable key::EncodeValue bytes. The tag makes
-/// the key-type rule hold on the row paths too: keys of different types
-/// never join or group together (EncodeValue alone maps int64
+/// the key-type rule hold wherever rows are keyed by value (group keys,
+/// the gather-merge exchange): keys of different types never join or
+/// group together (EncodeValue alone maps int64
 /// 0x4000000000000000 and double 2.0 to the same 8 bytes). Within one
 /// type the tag is constant, so sorting by this key orders groups exactly
 /// as sorting by EncodeValue does. B+-tree keys keep plain EncodeValue.
@@ -27,7 +28,7 @@ inline void AppendTypedKey(const Value& v, std::string* out) {
 
 /// Hash and equality of the typed keys KeyIndex supports. Doubles hash
 /// and compare by bit pattern — the same equivalence as their encoded
-/// key bytes (so -0.0 and 0.0 are different keys, as on the row path).
+/// key bytes (so -0.0 and 0.0 are different keys).
 template <typename K>
 struct KeyTraits;
 
@@ -151,8 +152,8 @@ class KeyIndex {
 
 /// Build side of a typed hash join: distinct keys map to dense ids in a
 /// KeyIndex, and the build rows sharing a key form a chain through
-/// `next_` in insertion order — the order the row oracle emits matches
-/// in, so duplicate-key output is identical in both modes.
+/// `next_` in insertion order, so a probe row's matches come out in
+/// build order.
 template <typename K>
 class JoinTable {
  public:

@@ -30,8 +30,8 @@ namespace hattrick {
 /// it — the scan charges its emission, join j <= i charges one hash
 /// probe and join j < i one output row (HashJoinOp reads the drop counts
 /// after each call to its probe child). Work-meter totals, per-node
-/// work and logical rows_out therefore equal the row oracle's, which
-/// applies no filter. A filter lives for one plan execution: the join
+/// work and logical rows_out therefore equal those of the same plan
+/// built without filters. A filter lives for one plan execution: the join
 /// resets it in Open, and it is written there and read by the same
 /// shard's scan on the same thread.
 class JoinKeyFilter {

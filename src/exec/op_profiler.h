@@ -10,8 +10,8 @@
 namespace hattrick {
 
 /// Per-operator profiling hook. Every physical operator owns one and
-/// brackets its Open with OpenBegin/OpenEnd and its Next/NextBatch
-/// bodies with the Next/NextBatch wrappers. With profiling off
+/// brackets its Open with OpenBegin/OpenEnd and its NextBatch body with
+/// the NextBatch wrapper. With profiling off
 /// (ExecContext::profile == nullptr) every method reduces to one null
 /// test, and with it on the hook only *reads* the work meter and the
 /// profile's injected clock — execution, results, and metered totals
@@ -46,24 +46,7 @@ class OpProfiler {
     profile_->EndNode();
   }
 
-  /// Runs a row-mode Next body, accounting one call and (on true) one
-  /// output row plus the inclusive time/meter delta.
-  template <typename Fn>
-  bool Next(ExecContext* ctx, Fn&& fn) {
-    if (node_ == nullptr) return fn();
-    const double t0 = profile_->NowOrZero();
-    const uint64_t m0 = MeterTotal(ctx);
-    const bool ok = fn();
-    node_->calls++;
-    if (ok) {
-      node_->rows_out++;
-      node_->phys_rows++;
-    }
-    FinishCall(ctx, t0, m0);
-    return ok;
-  }
-
-  /// Runs a batch-mode NextBatch body, accounting one call and (on
+  /// Runs a NextBatch body, accounting one call and (on
   /// true) the produced batch's active and physical rows.
   template <typename Fn>
   bool NextBatch(ExecContext* ctx, Batch* out, Fn&& fn) {
@@ -83,7 +66,7 @@ class OpProfiler {
 
   /// Counts `n` rows that a runtime join filter dropped below this
   /// operator and that the unfiltered plan would have produced here, so
-  /// rows_out stays the logical (row-oracle) count.
+  /// rows_out stays the unfiltered plan's count.
   void AddFilteredRows(uint64_t n) {
     if (node_ == nullptr) return;
     node_->rows_out += n;

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <unordered_map>
 
 #include "exec/hash_table.h"
 #include "exec/op_profiler.h"
@@ -19,8 +18,8 @@ int64_t QuantizeSumValue(double v) {
 
 namespace {
 
-/// Boolean truth of the i-th cell of an evaluated predicate vector,
-/// matching EvalBool's Value::AsInt semantics for non-int results.
+/// Boolean truth of the i-th cell of an evaluated predicate vector: a
+/// non-int result counts as true when its Value::AsInt is non-zero.
 bool BoolAt(const ColumnVector& v, size_t i) {
   if (v.type() == DataType::kInt64) return v.ints[i] != 0;
   return v.GetValue(i).AsInt() != 0;
@@ -42,15 +41,6 @@ class FilterOp final : public Operator {
     prof_.OpenBegin(ctx, "Filter");
     child_->Open(ctx);
     prof_.OpenEnd(ctx);
-  }
-
-  bool Next(ExecContext* ctx, Row* out) override {
-    return prof_.Next(ctx, [&] {
-      while (child_->Next(ctx, out)) {
-        if (EvalBool(*predicate_, *out)) return true;
-      }
-      return false;
-    });
   }
 
   bool NextBatch(ExecContext* ctx, Batch* out) override {
@@ -91,17 +81,6 @@ class ProjectOp final : public Operator {
     prof_.OpenBegin(ctx, "Project", "exprs=" + std::to_string(exprs_.size()));
     child_->Open(ctx);
     prof_.OpenEnd(ctx);
-  }
-
-  bool Next(ExecContext* ctx, Row* out) override {
-    return prof_.Next(ctx, [&] {
-      Row in;
-      if (!child_->Next(ctx, &in)) return false;
-      out->clear();
-      out->reserve(exprs_.size());
-      for (const ExprPtr& e : exprs_) out->push_back(e->Eval(in));
-      return true;
-    });
   }
 
   bool NextBatch(ExecContext* ctx, Batch* out) override {
@@ -147,33 +126,8 @@ class HashJoinOp final : public Operator {
     charged_outputs_ = 0;
     probe_->Open(ctx);
     build_->Open(ctx);
-    if (ctx->vectorized) {
-      BuildTyped(ctx);
-    } else {
-      BuildRows(ctx);
-    }
+    BuildTyped(ctx);
     prof_.OpenEnd(ctx);
-  }
-
-  bool Next(ExecContext* ctx, Row* out) override {
-    return prof_.Next(ctx, [&] {
-      while (true) {
-        if (matches_ != nullptr && match_pos_ < matches_->size()) {
-          *out = probe_row_;
-          const Row& build_row = (*matches_)[match_pos_++];
-          out->insert(out->end(), build_row.begin(), build_row.end());
-          if (ctx->meter != nullptr) ++ctx->meter->output_rows;
-          return true;
-        }
-        if (!probe_->Next(ctx, &probe_row_)) return false;
-        std::string key;
-        AppendTypedKey(probe_row_[probe_key_], &key);
-        if (ctx->meter != nullptr) ++ctx->meter->hash_probes;
-        const auto it = row_table_.find(key);
-        matches_ = it == row_table_.end() ? nullptr : &it->second;
-        match_pos_ = 0;
-      }
-    });
   }
 
   bool NextBatch(ExecContext* ctx, Batch* out) override {
@@ -182,17 +136,6 @@ class HashJoinOp final : public Operator {
 
  private:
   static constexpr uint32_t kNone = KeyIndex<int64_t>::kNone;
-
-  /// Row oracle: typed key -> build rows in insertion order.
-  void BuildRows(ExecContext* ctx) {
-    Row row;
-    while (build_->Next(ctx, &row)) {
-      std::string key;
-      AppendTypedKey(row[build_key_], &key);
-      row_table_[std::move(key)].push_back(row);
-      if (ctx->meter != nullptr) ++ctx->meter->hash_probes;
-    }
-  }
 
   /// Drains the build side into columns (active rows, in batch order)
   /// and indexes them by the typed key column.
@@ -336,7 +279,7 @@ class HashJoinOp final : public Operator {
     const ColumnVector& keys = probe_batch_.cols[probe_key_];
     if (build_rows_ == 0 || keys.type() != build_cols_[build_key_].type()) {
       // Nothing can match (keys of different types never do); every
-      // remaining probe row still costs its probe, as on the row path.
+      // remaining probe row still costs its probe.
       const size_t n = probe_batch_.ActiveRows();
       if (ctx->meter != nullptr) ctx->meter->hash_probes += n - probe_pos_;
       probe_pos_ = n;
@@ -386,14 +329,8 @@ class HashJoinOp final : public Operator {
   uint64_t charged_probes_ = 0;
   uint64_t charged_outputs_ = 0;
 
-  // Row oracle state.
-  std::unordered_map<std::string, std::vector<Row>> row_table_;
-  Row probe_row_;
-  const std::vector<Row>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-
-  // Typed batch state: the build side as columns, indexed by the table
-  // matching its key type.
+  // The build side as columns, indexed by the table matching its key
+  // type.
   std::vector<ColumnVector> build_cols_;
   size_t build_rows_ = 0;
   JoinTable<int64_t> int_table_;
@@ -422,22 +359,9 @@ class HashAggregateOp final : public Operator {
                     "groups=" + std::to_string(group_by_.size()) +
                         " aggs=" + std::to_string(aggregates_.size()));
     child_->Open(ctx);
-    if (ctx->vectorized) {
-      DrainBatches(ctx);
-    } else {
-      DrainRows(ctx);
-    }
+    DrainBatches(ctx);
     Emit();
     prof_.OpenEnd(ctx);
-  }
-
-  bool Next(ExecContext* ctx, Row* out) override {
-    return prof_.Next(ctx, [&] {
-      if (pos_ >= output_.size()) return false;
-      *out = std::move(output_[pos_++]);
-      if (ctx->meter != nullptr) ++ctx->meter->output_rows;
-      return true;
-    });
   }
 
   bool NextBatch(ExecContext* ctx, Batch* out) override {
@@ -453,9 +377,9 @@ class HashAggregateOp final : public Operator {
   }
 
  private:
-  /// Per-column dictionary of the batch path: one KeyIndex per value
-  /// type, sharing one dense code space, so values of different types
-  /// get different codes (the key-type rule).
+  /// Per-column group-key dictionary: one KeyIndex per value type,
+  /// sharing one dense code space, so values of different types get
+  /// different codes (the key-type rule).
   struct ColumnDict {
     KeyIndex<int64_t> ints;
     KeyIndex<double> doubles;
@@ -502,32 +426,7 @@ class HashAggregateOp final : public Operator {
     }
   }
 
-  /// Row oracle: groups keyed by their typed encoded key.
-  void DrainRows(ExecContext* ctx) {
-    std::unordered_map<std::string, size_t> groups;
-    Row row;
-    while (child_->Next(ctx, &row)) {
-      std::string key;
-      Row key_values;
-      key_values.reserve(group_by_.size());
-      for (const ExprPtr& e : group_by_) {
-        Value v = e->Eval(row);
-        AppendTypedKey(v, &key);
-        key_values.push_back(std::move(v));
-      }
-      const auto [it, inserted] =
-          groups.emplace(std::move(key), group_keys_.size());
-      if (inserted) AddGroup(std::move(key_values));
-      if (ctx->meter != nullptr) ++ctx->meter->hash_probes;
-      for (size_t i = 0; i < aggregates_.size(); ++i) {
-        const AggSpec& agg = aggregates_[i];
-        const bool count = agg.kind == AggSpec::Kind::kCount;
-        Update(it->second, i, count ? 0.0 : agg.arg->Eval(row).AsDouble());
-      }
-    }
-  }
-
-  /// Batch path: one kernel sweep per group-by / aggregate-input
+  /// One kernel sweep per group-by / aggregate-input
   /// expression, then column-at-a-time passes that map each active row to
   /// a dense group id through typed dictionaries and fold the inputs.
   void DrainBatches(ExecContext* ctx) {
@@ -610,8 +509,7 @@ class HashAggregateOp final : public Operator {
     }
   }
 
-  /// Materializes the groups in deterministic (typed encoded-key) order,
-  /// which both paths share, so their output is bit-identical.
+  /// Materializes the groups in deterministic (typed encoded-key) order.
   void Emit() {
     const size_t a = aggregates_.size();
     // Global aggregate with no input rows still emits one (zero) row —
@@ -656,7 +554,7 @@ class HashAggregateOp final : public Operator {
   std::vector<Row> group_keys_;
   std::vector<int64_t> exact_;  // sum (fixed-point) and count
   std::vector<double> accum_;   // min/max
-  // Batch-path group-key dictionaries (see DrainBatches).
+  // Group-key dictionaries (see DrainBatches).
   std::vector<ColumnDict> dicts_;
   std::vector<KeyIndex<uint64_t>> levels_;
   std::vector<Row> output_;
@@ -672,13 +570,8 @@ class OrderByOp final : public Operator {
   void Open(ExecContext* ctx) override {
     prof_.OpenBegin(ctx, "OrderBy", "keys=" + std::to_string(keys_.size()));
     child_->Open(ctx);
-    if (ctx->vectorized) {
-      Batch b;
-      while (child_->NextBatch(ctx, &b)) b.AppendActiveRows(&rows_);
-    } else {
-      Row row;
-      while (child_->Next(ctx, &row)) rows_.push_back(std::move(row));
-    }
+    Batch b;
+    while (child_->NextBatch(ctx, &b)) b.AppendActiveRows(&rows_);
     std::sort(rows_.begin(), rows_.end(), [&](const Row& a, const Row& b) {
       for (const SortKey& k : keys_) {
         const int c = k.expr->Eval(a).Compare(k.expr->Eval(b));
@@ -687,14 +580,6 @@ class OrderByOp final : public Operator {
       return false;
     });
     prof_.OpenEnd(ctx);
-  }
-
-  bool Next(ExecContext* ctx, Row* out) override {
-    return prof_.Next(ctx, [&] {
-      if (pos_ >= rows_.size()) return false;
-      *out = std::move(rows_[pos_++]);
-      return true;
-    });
   }
 
   bool NextBatch(ExecContext* ctx, Batch* out) override {
@@ -725,14 +610,6 @@ class ValuesScanOp final : public Operator {
                     "rows=" + std::to_string(rows_.size()));
     pos_ = 0;
     prof_.OpenEnd(ctx);
-  }
-
-  bool Next(ExecContext* ctx, Row* out) override {
-    return prof_.Next(ctx, [&] {
-      if (pos_ >= rows_.size()) return false;
-      *out = rows_[pos_++];
-      return true;
-    });
   }
 
   bool NextBatch(ExecContext* ctx, Batch* out) override {
@@ -798,13 +675,8 @@ OperatorPtr MakeValuesScan(std::vector<Row> rows) {
 std::vector<Row> Collect(Operator* op, ExecContext* ctx) {
   std::vector<Row> out;
   op->Open(ctx);
-  if (ctx->vectorized) {
-    Batch b;
-    while (op->NextBatch(ctx, &b)) b.AppendActiveRows(&out);
-  } else {
-    Row row;
-    while (op->Next(ctx, &row)) out.push_back(row);
-  }
+  Batch b;
+  while (op->NextBatch(ctx, &b)) b.AppendActiveRows(&out);
   return out;
 }
 

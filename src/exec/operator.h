@@ -24,8 +24,8 @@ struct ExecContext {
   WorkMeter* meter = nullptr;
 
   /// Degree of intra-query parallelism. 1 (the paper-faithful default)
-  /// executes the serial Volcano plan; >1 executes a morsel-parallel plan
-  /// whose worker shards run on real threads (see exec/parallel.h).
+  /// executes the serial plan; >1 executes a morsel-parallel plan whose
+  /// worker shards run on real threads (see exec/parallel.h).
   int dop = 1;
 
   /// Morsel scheduling: dynamic claiming (wall-clock drivers, load
@@ -33,18 +33,11 @@ struct ExecContext {
   /// work must not depend on thread scheduling).
   bool dynamic_morsels = false;
 
-  /// Vectorized (batch-at-a-time) vs row-at-a-time execution. The mode is
-  /// uniform across one plan: a vectorized consumer drives the root with
-  /// NextBatch and every operator pulls its children with NextBatch;
-  /// blocking operators consult this flag in Open when draining their
-  /// inputs. false selects the original Volcano path, retained as the
-  /// differential-testing oracle — results and WorkMeter totals are
-  /// bit-identical between the modes (tests/exec_test.cc enforces it).
-  bool vectorized = true;
-
   /// Target rows per column-vector batch (>= 1). Defaults to
   /// kDefaultBatchRows unless the HATTRICK_BATCH_ROWS env override is set
-  /// (the CI degenerate-batch leg). Ignored when !vectorized.
+  /// (the CI degenerate-batch leg). Results and WorkMeter totals do not
+  /// depend on it (tests/profile_test.cc checks every plan node at
+  /// widths 1, 7 and 1024).
   size_t batch_rows = DefaultBatchRows();
 
   /// Engine session pin (AnalyticsSession::guard). Worker threads hold a
@@ -63,28 +56,21 @@ struct ExecContext {
   /// Optional EXPLAIN ANALYZE profile (null by default — operators pay
   /// one pointer test per call). When set, every operator registers a
   /// PlanProfileNode in Open and accumulates rows/batches/work-meter
-  /// units/injected-clock time per Next/NextBatch (exec/op_profiler.h).
+  /// units/injected-clock time per NextBatch (exec/op_profiler.h).
   /// Profiling never writes the meter or alters control flow, so
   /// results and metered totals are bit-identical with it on or off.
   obs::PlanProfile* profile = nullptr;
 };
 
-/// Physical operator. The primary interface is batch-at-a-time
-/// (NextBatch, column-vector batches with selection vectors); the
-/// row-at-a-time Volcano interface (Next) is retained as the
-/// differential-testing oracle. Every operator implements both natively.
-/// Scans stream; blocking operators (hash join build, aggregation, sort)
-/// materialize internally, draining their children in the mode
-/// ExecContext::vectorized selects.
+/// Physical operator, batch-at-a-time: NextBatch hands out column-vector
+/// batches with selection vectors. Scans stream; blocking operators (hash
+/// join build, aggregation, sort) drain their children in Open.
 class Operator {
  public:
   virtual ~Operator() = default;
 
-  /// Prepares the operator; called once before Next/NextBatch.
+  /// Prepares the operator; called once before NextBatch.
   virtual void Open(ExecContext* ctx) = 0;
-
-  /// Produces the next row into *out; returns false when exhausted.
-  virtual bool Next(ExecContext* ctx, Row* out) = 0;
 
   /// Produces the next batch (>= 1 active row) into *out; returns false
   /// when exhausted.
@@ -129,9 +115,10 @@ struct ScanSpec {
   std::shared_ptr<MorselSet> morsels;
   uint32_t worker = 0;
   /// Optional runtime join-key filters published by the hash joins above
-  /// this scan, in join order (exec/join_filter.h). Batch-mode row-store
-  /// and column-store scans drop the rows they reject; the row-at-a-time
-  /// Next path and index scans ignore them.
+  /// this scan, in join order (exec/join_filter.h). Row-store and
+  /// column-store scans drop the rows they reject, charged as if emitted,
+  /// so the same plan built without filters defines what a drop costs;
+  /// index scans ignore them.
   std::shared_ptr<JoinFilterSet> join_filters;
 };
 
@@ -172,7 +159,7 @@ OperatorPtr MakeProject(OperatorPtr child, std::vector<ExprPtr> exprs);
 /// Hash join: materializes `build`, probes with `probe`. Output is
 /// probe row concatenated with build row. Join keys must be single
 /// columns on each side (all SSB joins are key/foreign-key equijoins).
-/// After a batch-mode build the join publishes its build keys into
+/// After its build the join publishes its build keys into
 /// `filter` when they qualify (JoinKeyFilter::Publish); `filter` must be
 /// the entry of the scan below whose column is `probe_key`'s source.
 OperatorPtr MakeHashJoin(OperatorPtr probe, size_t probe_key,
@@ -230,13 +217,11 @@ OperatorPtr MakeOrderBy(OperatorPtr child, std::vector<SortKey> keys);
 OperatorPtr MakeValuesScan(std::vector<Row> rows);
 
 /// Drains `op` into a vector of materialized rows (helper for tests and
-/// result collection). Honors ctx->vectorized: drives the root with
-/// NextBatch (default) or with the row-oracle Next — active rows arrive
-/// in the same order either way.
+/// result collection): the active rows of its batches, in order.
 std::vector<Row> Collect(Operator* op, ExecContext* ctx);
 
 /// Drains `op` batch-at-a-time without materializing rows (the exchange
-/// and benches use this; requires ctx->vectorized).
+/// and benches use this).
 std::vector<Batch> CollectBatches(Operator* op, ExecContext* ctx);
 
 }  // namespace hattrick

@@ -27,11 +27,9 @@ class GatherMergeOp final : public Operator {
     prof_.OpenBegin(ctx, "GatherMerge",
                     "shards=" + std::to_string(shards_.size()));
     const size_t n = shards_.size();
-    // In batch mode each worker ships its partial-aggregate output as
-    // column-vector batches (no per-row materialization on the worker
-    // side); in row (oracle) mode it ships materialized rows.
+    // Each worker ships its partial-aggregate output as column-vector
+    // batches (no per-row materialization on the worker side).
     std::vector<std::vector<Batch>> shard_batches(n);
-    std::vector<std::vector<Row>> shard_rows(n);
     std::vector<WorkMeter> shard_meters(n);
     // Private per-worker profiles (workers must not share a PlanProfile);
     // grafted under this operator's node in shard order after the join,
@@ -47,8 +45,8 @@ class GatherMergeOp final : public Operator {
       std::vector<std::thread> workers;
       workers.reserve(n);
       for (size_t w = 0; w < n; ++w) {
-        workers.emplace_back([this, ctx, w, &shard_batches, &shard_rows,
-                              &shard_meters, &shard_profiles] {
+        workers.emplace_back([this, ctx, w, &shard_batches, &shard_meters,
+                              &shard_profiles] {
           obs::ScopedSpan span(ctx->tracer, ctx->trace_clock, "morsel-shard",
                                "morsel",
                                ctx->trace_tid + static_cast<uint32_t>(w));
@@ -56,17 +54,12 @@ class GatherMergeOp final : public Operator {
           worker_ctx.meter = &shard_meters[w];
           worker_ctx.dop = ctx->dop;
           worker_ctx.dynamic_morsels = ctx->dynamic_morsels;
-          worker_ctx.vectorized = ctx->vectorized;
           worker_ctx.batch_rows = ctx->batch_rows;
           worker_ctx.session_pin = ctx->session_pin;
           if (!shard_profiles.empty()) {
             worker_ctx.profile = &shard_profiles[w];
           }
-          if (worker_ctx.vectorized) {
-            shard_batches[w] = CollectBatches(shards_[w].get(), &worker_ctx);
-          } else {
-            shard_rows[w] = Collect(shards_[w].get(), &worker_ctx);
-          }
+          shard_batches[w] = CollectBatches(shards_[w].get(), &worker_ctx);
         });
       }
       for (std::thread& t : workers) t.join();
@@ -131,8 +124,8 @@ class GatherMergeOp final : public Operator {
           }
         }
     };
-    // Shards merge in worker order in both modes, so the merged groups —
-    // and the fixed-point partial sums — fold identically.
+    // Shards merge in worker order, so the merged groups — and the
+    // fixed-point partial sums — fold identically under any schedule.
     Row scratch;
     for (size_t w = 0; w < n; ++w) {
       for (const Batch& b : shard_batches[w]) {
@@ -142,7 +135,6 @@ class GatherMergeOp final : public Operator {
           merge_row(scratch);
         }
       }
-      for (const Row& row : shard_rows[w]) merge_row(row);
     }
 
     // A global aggregate over empty input still yields the serial plan's
@@ -173,15 +165,6 @@ class GatherMergeOp final : public Operator {
       output_.push_back(std::move(out));
     }
     prof_.OpenEnd(ctx);
-  }
-
-  bool Next(ExecContext* ctx, Row* out) override {
-    return prof_.Next(ctx, [&] {
-      if (pos_ >= output_.size()) return false;
-      *out = std::move(output_[pos_++]);
-      if (ctx->meter != nullptr) ++ctx->meter->output_rows;
-      return true;
-    });
   }
 
   bool NextBatch(ExecContext* ctx, Batch* out) override {

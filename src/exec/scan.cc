@@ -42,7 +42,7 @@ std::vector<DataType> ProjectedTypes(const RowTable& table,
   return types;
 }
 
-/// Runtime join filters a batch-mode scan applies: the leading published
+/// Runtime join filters a scan applies: the leading published
 /// ones whose fact column is int64 in `schema` (a published filter holds
 /// int64 keys, and the join never matches keys of another type). Read at
 /// every call: the joins above publish in their Open, before the scan's
@@ -86,19 +86,15 @@ void AppendProjected(const Row& row, const ScanSpec& spec, Batch* out) {
 
 /// Scan over an MVCC row table.
 ///
-/// Row mode: the first Next() materializes the projected columns of the
-/// visible, predicate-passing rows in one pass over the table, so no
-/// full-row copies are made for filtered-out or projected-away cells.
-///
-/// Batch mode: Open() only positions a slot cursor; NextBatch fills
-/// column vectors by covering the slot space with batch-sized ScanRange
-/// chunks. Pushdowns evaluate on the visible row as RowTable hands it out
-/// (by reference, no copy for an unfolded chain head), and only the
-/// projected cells are appended. RowTable::ScanRange guarantees a
-/// disjoint cover meters exactly like one Scan, and output_rows is
-/// charged per emitted row either way, so both modes charge identical
-/// WorkMeter totals. Batch mode also drops the rows the spec's runtime
-/// join filters reject, charging them as emitted (exec/join_filter.h).
+/// Open() only positions a slot cursor; NextBatch fills column vectors by
+/// covering the slot space with batch-sized ScanRange chunks. Pushdowns
+/// evaluate on the visible row as RowTable hands it out (by reference, no
+/// copy for an unfolded chain head), and only the projected cells are
+/// appended. RowTable::ScanRange guarantees a disjoint cover meters
+/// exactly like one Scan, and output_rows is charged per emitted row, so
+/// WorkMeter totals do not depend on the batch width. The scan also
+/// drops the rows the spec's runtime join filters reject, charging them
+/// as emitted (exec/join_filter.h).
 class RowScanOp final : public Operator {
  public:
   RowScanOp(const RowTable* table, Ts snapshot, ScanSpec spec)
@@ -109,49 +105,11 @@ class RowScanOp final : public Operator {
 
   void Open(ExecContext* ctx) override {
     prof_.OpenBegin(ctx, "RowScan", "table=" + spec_.table);
-    rows_.clear();
-    pos_ = 0;
-    materialized_ = false;
     cursor_ = 0;
     limit_ = 0;
     serial_pending_ = spec_.morsels == nullptr;
     claim_ = MorselSet::ClaimState{};
     prof_.OpenEnd(ctx);
-  }
-
-  bool Next(ExecContext* ctx, Row* out) override {
-    return prof_.Next(ctx, [&] { return NextImpl(ctx, out); });
-  }
-
-  bool NextImpl(ExecContext* ctx, Row* out) {
-    // Row path: materialize on first pull (same scan, same meter totals
-    // as materializing in Open — just charged at the first Next).
-    if (!materialized_) {
-      materialized_ = true;
-      const auto visit = [&](Rid, const Row& row) {
-        if (!MatchesPushdowns(row, spec_)) return true;
-        Row projected;
-        projected.reserve(spec_.projection.size());
-        for (size_t col : spec_.projection) projected.push_back(row[col]);
-        rows_.push_back(std::move(projected));
-        return true;
-      };
-      if (spec_.morsels != nullptr) {
-        // Parallel shard: scan only the rid ranges this worker claims.
-        MorselSet::ClaimState claim;
-        size_t begin;
-        size_t end;
-        while (spec_.morsels->Claim(spec_.worker, &claim, &begin, &end)) {
-          table_->ScanRange(snapshot_, begin, end, visit, ctx->meter);
-        }
-      } else {
-        table_->Scan(snapshot_, visit, ctx->meter);
-      }
-      if (ctx->meter != nullptr) ctx->meter->output_rows += rows_.size();
-    }
-    if (pos_ >= rows_.size()) return false;
-    *out = std::move(rows_[pos_++]);
-    return true;
   }
 
   bool NextBatch(ExecContext* ctx, Batch* out) override {
@@ -216,10 +174,7 @@ class RowScanOp final : public Operator {
   Ts snapshot_;
   ScanSpec spec_;
   std::vector<DataType> types_;
-  std::vector<Row> rows_;
-  size_t pos_ = 0;
-  bool materialized_ = false;
-  // Batch-mode cursor state.
+  // Slot cursor over the current range.
   size_t cursor_ = 0;
   size_t limit_ = 0;
   bool serial_pending_ = false;
@@ -229,16 +184,16 @@ class RowScanOp final : public Operator {
 
 /// Streaming scan over a column table with zone-map block pruning.
 ///
-/// Batch mode processes block-bounded runs of rows: one tight loop per
+/// The scan processes block-bounded runs of rows: one tight loop per
 /// pushdown predicate over the raw column payloads (string predicates on
 /// dictionary codes), then a gather of the survivors' projected columns
 /// straight into the output vectors. Runs never cross a zone-map block
-/// boundary, so pruning decisions — and metered column_values — are
-/// identical to the row-at-a-time path at any batch size.
+/// boundary, so pruning decisions — and metered column_values — are the
+/// same at any batch size.
 ///
 /// With a visibility snapshot (bitmap merge mode) the scan has three row
 /// classes, all charged like their eager-merge equivalents so metered
-/// totals stay invariant across batch size, dop and execution mode:
+/// totals stay invariant across batch size and dop:
 ///  - clean base rows: the vectorized lanes above, with the run's
 ///    selection pre-intersected against the snapshot's dirty bitmap;
 ///  - overridden base rows: evaluated per row on the snapshot's version
@@ -249,10 +204,9 @@ class RowScanOp final : public Operator {
 /// rows (the override values may match where the stale base could not);
 /// an impossible dictionary predicate prunes only the clean base lanes.
 ///
-/// Every batch lane then drops the predicate survivors that the spec's
-/// runtime join filters reject, before gathering any projected column,
-/// and charges them as emitted (exec/join_filter.h). The row path
-/// applies no filter.
+/// Every lane then drops the predicate survivors that the spec's runtime
+/// join filters reject, before gathering any projected column, and
+/// charges them as emitted (exec/join_filter.h).
 class ColumnScanOp final : public Operator {
  public:
   ColumnScanOp(const ColumnTable* table, size_t bound,
@@ -276,7 +230,7 @@ class ColumnScanOp final : public Operator {
 
   void OpenImpl() {
     // Serial scans cover [0, bound_); morsel shards start empty and claim
-    // ranges lazily in Next. Morsels are block-aligned (kDefaultMorselRows
+    // ranges lazily in NextBatch. Morsels are block-aligned (kDefaultMorselRows
     // is a multiple of kBlockRows), so zone-map pruning behaves — and
     // meters — identically at any dop.
     row_ = 0;
@@ -303,60 +257,6 @@ class ColumnScanOp final : public Operator {
     }
   }
 
-  bool Next(ExecContext* ctx, Row* out) override {
-    return prof_.Next(ctx, [&] { return NextImpl(ctx, out); });
-  }
-
-  bool NextImpl(ExecContext* ctx, Row* out) {
-    if (impossible_ && delta_ == nullptr) return false;
-    obs::PlanProfileNode* node = prof_.node();
-    while (true) {
-      while (row_ < limit_) {
-        // Zone-map pruning at block boundaries (mid-block resume
-        // positions keep the block's pruned_ state).
-        if (row_ < base_rows_ && row_ % ColumnTable::kBlockRows == 0) {
-          SkipPrunedCleanBlocks();
-          if (row_ >= limit_) break;
-        }
-        const size_t r = row_++;
-        if (r >= base_rows_) {
-          if (node != nullptr) node->rows_insert++;
-          if (EvalDeltaRow(delta_->InsertRow(r), ctx, out)) return true;
-          continue;
-        }
-        if (delta_ != nullptr && delta_->DirtyBit(r)) {
-          if (node != nullptr) node->rows_override++;
-          if (EvalDeltaRow(delta_->OverrideRow(r), ctx, out)) return true;
-          continue;
-        }
-        if (pruned_) continue;  // clean row in a pruned-dirty block
-        if (node != nullptr) node->rows_clean++;
-        if (!Matches(r, ctx)) continue;
-        out->clear();
-        out->reserve(spec_.projection.size());
-        for (size_t col : spec_.projection) {
-          switch (table_->schema().column(col).type) {
-            case DataType::kInt64:
-              out->emplace_back(table_->GetInt(col, r));
-              break;
-            case DataType::kDouble:
-              out->emplace_back(table_->GetDouble(col, r));
-              break;
-            case DataType::kString:
-              out->emplace_back(table_->GetString(col, r));
-              break;
-          }
-        }
-        if (ctx->meter != nullptr) {
-          ctx->meter->column_values += spec_.projection.size();
-          ++ctx->meter->output_rows;
-        }
-        return true;
-      }
-      if (!ClaimNextRange()) return false;
-    }
-  }
-
   bool NextBatch(ExecContext* ctx, Batch* out) override {
     return prof_.NextBatch(ctx, out, [&] { return NextBatchImpl(ctx, out); });
   }
@@ -367,7 +267,8 @@ class ColumnScanOp final : public Operator {
     applied_ = AppliedJoinFilters(table_->schema(), spec_);
     while (true) {
       while (row_ < limit_) {
-        // Same pruning condition as the row path.
+        // Zone-map pruning at block boundaries (mid-block resume
+        // positions keep the block's pruned_ state).
         if (row_ < base_rows_ && row_ % ColumnTable::kBlockRows == 0) {
           SkipPrunedCleanBlocks();
           if (row_ >= limit_) break;
@@ -428,8 +329,8 @@ class ColumnScanOp final : public Operator {
   void SkipPrunedCleanBlocks() {
     // Each base block is entered at most once per scan (morsel claims
     // are block-aligned, resumes mid-block skip this call), so counting
-    // here attributes every block to exactly one outcome — identically
-    // in row and batch mode, at any dop.
+    // here attributes every block to exactly one outcome, at any batch
+    // size and dop.
     obs::PlanProfileNode* node = prof_.node();
     while (row_ < limit_ && row_ < base_rows_) {
       const size_t block = row_ / ColumnTable::kBlockRows;
@@ -456,8 +357,8 @@ class ColumnScanOp final : public Operator {
   }
 
   /// Evaluates the pushdown predicates over rows [begin, end) and gathers
-  /// the survivors' projected columns into *out. Metering matches the row
-  /// path: every evaluated row charges one column_values per predicate,
+  /// the survivors' projected columns into *out. Every evaluated row
+  /// charges one column_values per predicate,
   /// every emitted row charges the projection width plus one output row.
   /// Rows with a set dirty bit are excluded from the vectorized lanes and
   /// evaluated on their override rows instead, then merged back in rid
@@ -656,7 +557,7 @@ class ColumnScanOp final : public Operator {
 
   /// Run over a zone-map-pruned (or dictionary-impossible) base block:
   /// only the dirty rids can match, so only they are evaluated — and
-  /// only they charge predicate work, exactly like the row path.
+  /// only they charge predicate work.
   void ScanDirtyOnlyRun(size_t begin, size_t end, ExecContext* ctx,
                         Batch* out) {
     if (delta_ == nullptr) return;
@@ -714,24 +615,6 @@ class ColumnScanOp final : public Operator {
     }
   }
 
-  /// Row-path evaluation of a version row (override or insert): charges
-  /// one predicate pass, and on a match projects into *out and charges
-  /// like the base emit path. Returns true when a row was produced.
-  bool EvalDeltaRow(const Row& row, ExecContext* ctx, Row* out) {
-    if (ctx->meter != nullptr) {
-      ctx->meter->column_values += NumPredsByValue();
-    }
-    if (!MatchesPushdowns(row, spec_)) return false;
-    out->clear();
-    out->reserve(spec_.projection.size());
-    for (size_t col : spec_.projection) out->push_back(row[col]);
-    if (ctx->meter != nullptr) {
-      ctx->meter->column_values += spec_.projection.size();
-      ++ctx->meter->output_rows;
-    }
-    return true;
-  }
-
   /// Drops the clean-lane rids in match_ that the applied runtime
   /// filters reject, one filter at a time in join order (each drop
   /// counts at the first filter that rejects the row). Returns how many
@@ -768,29 +651,6 @@ class ColumnScanOp final : public Operator {
     return false;
   }
 
-  bool Matches(size_t r, ExecContext* ctx) const {
-    if (ctx->meter != nullptr) {
-      ctx->meter->column_values +=
-          spec_.ranges.size() + code_preds_.size();
-    }
-    for (const NumRange& pred : spec_.ranges) {
-      const double v = table_->GetDouble(pred.column, r);
-      if (v < pred.lo || v > pred.hi) return false;
-    }
-    for (const CodePred& pred : code_preds_) {
-      const uint32_t code = table_->GetStringCode(pred.column, r);
-      bool found = false;
-      for (const uint32_t c : pred.codes) {
-        if (c == code) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) return false;
-    }
-    return true;
-  }
-
   /// Claims this worker's next morsel and clamps it to the snapshot
   /// bound. Returns false (scan done) in serial mode or when the morsel
   /// set is exhausted.
@@ -817,7 +677,7 @@ class ColumnScanOp final : public Operator {
   /// First insert-segment rid: delta_->base_rows, or bound_ without one.
   size_t base_rows_;
   ScanSpec spec_;
-  size_t applied_ = 0;  // runtime join filters applied by this batch call
+  size_t applied_ = 0;  // runtime join filters applied by this call
   std::vector<DataType> types_;
   size_t row_ = 0;
   size_t limit_ = 0;
@@ -838,12 +698,9 @@ class ColumnScanOp final : public Operator {
 /// and projects. Used when a query plan hints an index that exists in the
 /// physical schema (Figure 6b, "all indexes").
 ///
-/// Row mode fetches each rid with RowTable::Read (a full-row copy) and is
-/// the oracle. Batch mode fetches the rids of one batch through
-/// RowTable::VisitRids, which meters every rid exactly like Read but
-/// hands out the visible row by reference, and appends only the
-/// projected cells of the matches — so both modes emit the same rows in
-/// the same batches and charge identical WorkMeter totals.
+/// Each batch fetches its rids through RowTable::VisitRids, which meters
+/// every rid exactly like RowTable::Read but hands out the visible row by
+/// reference, and appends only the projected cells of the matches.
 class IndexRangeScanOp final : public Operator {
  public:
   IndexRangeScanOp(const RowTable* table, const IndexInfo* index,
@@ -873,23 +730,6 @@ class IndexRangeScanOp final : public Operator {
         ctx->meter);
     pos_ = 0;
     prof_.OpenEnd(ctx);
-  }
-
-  bool Next(ExecContext* ctx, Row* out) override {
-    return prof_.Next(ctx, [&] {
-      Row row;
-      while (pos_ < rids_.size()) {
-        const Rid rid = rids_[pos_++];
-        if (!table_->Read(rid, snapshot_, &row, ctx->meter)) continue;
-        if (!MatchesPushdowns(row, spec_)) continue;
-        out->clear();
-        out->reserve(spec_.projection.size());
-        for (size_t col : spec_.projection) out->push_back(row[col]);
-        if (ctx->meter != nullptr) ++ctx->meter->output_rows;
-        return true;
-      }
-      return false;
-    });
   }
 
   bool NextBatch(ExecContext* ctx, Batch* out) override {

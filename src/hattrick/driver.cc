@@ -357,7 +357,6 @@ class SimAClient {
     // host scheduled the worker threads.
     ctx.dop = s_->config.dop;
     ctx.dynamic_morsels = false;
-    ctx.vectorized = s_->config.vectorized;
     if (s_->config.batch_rows > 0) {
       ctx.batch_rows = static_cast<size_t>(s_->config.batch_rows);
     }
@@ -701,7 +700,6 @@ RunMetrics ThreadedDriver::Run(const WorkloadConfig& config) {
         ExecContext ctx{&meter};
         ctx.dop = config.dop;
         ctx.dynamic_morsels = true;  // real threads: balance via stealing
-        ctx.vectorized = config.vectorized;
         if (config.batch_rows > 0) {
           ctx.batch_rows = static_cast<size_t>(config.batch_rows);
         }

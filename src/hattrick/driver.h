@@ -33,11 +33,6 @@ struct WorkloadConfig {
   /// paper-faithful default, matching its single-stream query clients —
   /// leaves all existing figures unchanged.
   int dop = 1;
-  /// Analytical execution mode (see ExecContext::vectorized): vectorized
-  /// batch execution (default) or the row-at-a-time oracle. Results and
-  /// metered work are bit-identical; the knob exists for differential
-  /// testing and benchmarking.
-  bool vectorized = true;
   /// Rows per column-vector batch; 0 (default) means DefaultBatchRows().
   int batch_rows = 0;
   /// EXPLAIN ANALYZE profiling of every analytical query: each execution

@@ -413,7 +413,6 @@ QueryResult RunQuery(int query_id, const DataSource& source,
                                                    ctx->dynamic_morsels)
                           : BuildQueryPlan(query_id, source));
   plan->Open(ctx);
-  Row row;
   const std::hash<std::string> hasher;
   const auto fold = [&](const Row& r) {
     ++result.rows;
@@ -432,26 +431,21 @@ QueryResult RunQuery(int query_id, const DataSource& source,
       }
     }
   };
-  if (ctx->vectorized) {
-    // Batch drive: active rows arrive in row-path order, so the checksum
-    // fold visits identical cells in identical order in both modes.
-    Batch b;
-    while (plan->NextBatch(ctx, &b)) {
-      const size_t n = b.ActiveRows();
-      for (size_t k = 0; k < n; ++k) {
-        b.MaterializeRow(b.ActiveIndex(k), &row);
-        fold(row);
-      }
+  Batch b;
+  Row row;
+  while (plan->NextBatch(ctx, &b)) {
+    const size_t n = b.ActiveRows();
+    for (size_t k = 0; k < n; ++k) {
+      b.MaterializeRow(b.ActiveIndex(k), &row);
+      fold(row);
     }
-  } else {
-    while (plan->Next(ctx, &row)) fold(row);
   }
 
   // FRESHNESS_j read-back (Section 4.2). The tables hold exactly one row,
-  // so pulling one row (or one batch) drains — and meters — the whole
-  // scan in either mode. The read-back scans are bookkeeping, not part of
-  // the query plan, so they stay out of the EXPLAIN ANALYZE profile (which
-  // then has exactly one root: the plan's).
+  // so pulling one batch drains — and meters — the whole scan. The
+  // read-back scans are bookkeeping, not part of the query plan, so they
+  // stay out of the EXPLAIN ANALYZE profile (which then has exactly one
+  // root: the plan's).
   obs::PlanProfile* saved_profile = ctx->profile;
   ctx->profile = nullptr;
   result.freshness.reserve(num_freshness_tables);
@@ -462,13 +456,8 @@ QueryResult RunQuery(int query_id, const DataSource& source,
     OperatorPtr scan = source.Scan(spec);
     scan->Open(ctx);
     int64_t txn_num = 0;
-    if (ctx->vectorized) {
-      Batch b;
-      if (scan->NextBatch(ctx, &b) && b.ActiveRows() > 0) {
-        txn_num = b.cols[0].GetValue(b.ActiveIndex(0)).AsInt();
-      }
-    } else if (scan->Next(ctx, &row)) {
-      txn_num = row[0].AsInt();
+    if (scan->NextBatch(ctx, &b) && b.ActiveRows() > 0) {
+      txn_num = b.cols[0].GetValue(b.ActiveIndex(0)).AsInt();
     }
     result.freshness.push_back(txn_num);
   }

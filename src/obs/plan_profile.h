@@ -24,7 +24,7 @@ struct PlanProfileNode {
   std::vector<int> children;
 
   uint64_t opens = 0;      // Open() calls (> 1 only in aggregates)
-  uint64_t calls = 0;      // Next() + NextBatch() calls
+  uint64_t calls = 0;      // NextBatch() calls
   uint64_t batches = 0;    // successful NextBatch() returns
   uint64_t rows_out = 0;   // active rows produced
   uint64_t phys_rows = 0;  // physical rows produced (before selection)
@@ -40,13 +40,13 @@ struct PlanProfileNode {
 
   /// Scan detail: rows a runtime join filter dropped before emission
   /// (they still count in rows_out, which stays the logical count).
-  /// Zero for every other operator and in row mode.
+  /// Zero for every other operator.
   uint64_t join_filter_dropped = 0;
 
   /// Inclusive work-meter units and injected-clock seconds: each covers
-  /// this operator's Open + Next/NextBatch calls, children included
+  /// this operator's Open + NextBatch calls, children included
   /// (blocking operators drain children inside Open, streaming ones
-  /// inside Next — either way the child's share nests in the parent's).
+  /// inside NextBatch — either way the child's share nests in the parent's).
   uint64_t work_units = 0;
   double open_seconds = 0;
   double next_seconds = 0;

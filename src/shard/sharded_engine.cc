@@ -42,14 +42,6 @@ class ConcatOperator final : public Operator {
     index_ = 0;
   }
 
-  bool Next(ExecContext* ctx, Row* out) override {
-    while (index_ < children_.size()) {
-      if (children_[index_]->Next(ctx, out)) return true;
-      ++index_;
-    }
-    return false;
-  }
-
   bool NextBatch(ExecContext* ctx, Batch* out) override {
     while (index_ < children_.size()) {
       if (children_[index_]->NextBatch(ctx, out)) return true;

@@ -77,10 +77,6 @@ const std::string& ColumnTable::GetString(size_t col, size_t row) const {
   return c.dict[c.codes[row]];
 }
 
-uint32_t ColumnTable::GetStringCode(size_t col, size_t row) const {
-  return columns_[col].codes[row];
-}
-
 int64_t ColumnTable::FindStringCode(size_t col, const std::string& s) const {
   const Column& c = columns_[col];
   const auto it = c.dict_index.find(s);

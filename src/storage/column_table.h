@@ -110,8 +110,6 @@ class ColumnTable {
   double GetDouble(size_t col, size_t row) const;
   /// Returns the dictionary string for a string cell (stable reference).
   const std::string& GetString(size_t col, size_t row) const;
-  /// Returns the dictionary code of a string cell (for fast group-by).
-  uint32_t GetStringCode(size_t col, size_t row) const;
   /// Looks up the code of `s` in the column dictionary; -1 if absent.
   int64_t FindStringCode(size_t col, const std::string& s) const;
   /// Dictionary size for a string column.

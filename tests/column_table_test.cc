@@ -46,10 +46,10 @@ TEST(ColumnTableTest, DictionaryEncodesStrings) {
                     .ok());
   }
   EXPECT_EQ(table.DictionarySize(2), 2u);
-  EXPECT_EQ(table.GetStringCode(2, 0), table.GetStringCode(2, 2));
-  EXPECT_NE(table.GetStringCode(2, 0), table.GetStringCode(2, 1));
-  EXPECT_EQ(table.FindStringCode(2, "even"),
-            static_cast<int64_t>(table.GetStringCode(2, 0)));
+  const uint32_t* codes = table.CodeData(2);
+  EXPECT_EQ(codes[0], codes[2]);
+  EXPECT_NE(codes[0], codes[1]);
+  EXPECT_EQ(table.FindStringCode(2, "even"), static_cast<int64_t>(codes[0]));
   EXPECT_EQ(table.FindStringCode(2, "absent"), -1);
 }
 

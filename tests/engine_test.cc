@@ -79,10 +79,8 @@ class EngineConformanceTest : public ::testing::TestWithParam<EngineCase> {
     spec.projection = {2};
     OperatorPtr scan = session.source->Scan(spec);
     ExecContext ctx{&meter};
-    scan->Open(&ctx);
-    Row row;
     int64_t sum = 0;
-    while (scan->Next(&ctx, &row)) sum += row[0].AsInt();
+    for (const Row& row : Collect(scan.get(), &ctx)) sum += row[0].AsInt();
     return sum;
   }
 
@@ -162,10 +160,8 @@ TEST_P(EngineConformanceTest, AnalyticsSnapshotIsStable) {
   spec.projection = {2};
   OperatorPtr scan = session.source->Scan(spec);
   ExecContext ctx{&meter};
-  scan->Open(&ctx);
-  Row row;
   int64_t sum = 0;
-  while (scan->Next(&ctx, &row)) sum += row[0].AsInt();
+  for (const Row& row : Collect(scan.get(), &ctx)) sum += row[0].AsInt();
   session.guard.reset();
   EXPECT_EQ(sum, 500);
 }
@@ -275,10 +271,7 @@ TEST_F(IsolatedEngineTest, StandbyAnalyticsLagUntilReplay) {
   {
     OperatorPtr scan = stale.source->Scan(spec);
     ExecContext ctx{&meter};
-    scan->Open(&ctx);
-    Row row;
-    size_t rows = 0;
-    while (scan->Next(&ctx, &row)) ++rows;
+    const size_t rows = Collect(scan.get(), &ctx).size();
     EXPECT_EQ(rows, 50u);
   }
 
@@ -287,10 +280,7 @@ TEST_F(IsolatedEngineTest, StandbyAnalyticsLagUntilReplay) {
   AnalyticsSession fresh = engine_->BeginAnalytics(&meter);
   OperatorPtr scan = fresh.source->Scan(spec);
   ExecContext ctx{&meter};
-  scan->Open(&ctx);
-  Row row;
-  size_t rows = 0;
-  while (scan->Next(&ctx, &row)) ++rows;
+  const size_t rows = Collect(scan.get(), &ctx).size();
   EXPECT_EQ(rows, 51u);
 }
 
@@ -337,10 +327,7 @@ TEST_F(IsolatedEngineTest, MultiReplicaRoundRobinAndConvergence) {
     spec.projection = {0};
     OperatorPtr scan = session.source->Scan(spec);
     ExecContext ctx{&meter};
-    scan->Open(&ctx);
-    Row row;
-    size_t rows = 0;
-    while (scan->Next(&ctx, &row)) ++rows;
+    const size_t rows = Collect(scan.get(), &ctx).size();
     EXPECT_EQ(rows, 51u) << "standby " << i;
   }
 }
@@ -518,11 +505,9 @@ class HybridBitmapEngineTest : public ::testing::Test {
     spec.projection = {2};
     OperatorPtr scan = session.source->Scan(spec);
     ExecContext ctx{meter};
-    scan->Open(&ctx);
-    Row row;
     size_t rows = 0;
     int64_t sum = 0;
-    while (scan->Next(&ctx, &row)) {
+    for (const Row& row : Collect(scan.get(), &ctx)) {
       ++rows;
       sum += row[0].AsInt();
     }

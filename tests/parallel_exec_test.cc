@@ -1,9 +1,10 @@
 // Golden equivalence suite for morsel-driven parallel execution: the 13
 // SSB queries must return BIT-IDENTICAL results at dop=1 and dop=4 on
 // every engine (row-store, replicated row-store, columnar), under both
-// morsel schedules. Also covers MorselSet partitioning, the session-pin
-// guard lifetime across worker threads, and determinism of the
-// simulator's multi-core charging.
+// morsel schedules, and the rows of the test-only SSB reference
+// (tests/ssb_reference.h) at every batch width. Also covers MorselSet
+// partitioning, the session-pin guard lifetime across worker threads,
+// and determinism of the simulator's multi-core charging.
 
 #include <atomic>
 #include <chrono>
@@ -27,6 +28,8 @@
 #include "sim/core_pool.h"
 #include "sim/simulation.h"
 #include "storage/column_table.h"
+#include "tests/ssb_reference.h"
+#include "txn/mvcc.h"
 
 namespace hattrick {
 namespace {
@@ -34,18 +37,12 @@ namespace {
 // Note the fixed dataset seed: how many of the selective SSB queries
 // find matching dimension rows is a property of the generated dimension
 // attributes, so the dataset stays pinned while the test parameter seeds
-// the randomized mutation workload run on top of it.
-DatagenConfig SmallConfig(uint64_t seed = 501) {
-  DatagenConfig config;
-  // SF10 at 6000 rows/SF: ~60k lineorders (several morsels per worker at
-  // dop=4) and dimension tables rich enough (20 suppliers / 300 customers
-  // / 8000 parts) that 11 of the 13 SSB queries return non-empty groups —
-  // dimension cardinalities scale with scale_factor * lineorders_per_sf,
-  // so SF1 would leave only 2 suppliers and every join query empty.
-  config.scale_factor = 10.0;
-  config.lineorders_per_sf = 6000;
+// the randomized mutation workload run on top of it. The reference
+// dataset is SF10 at 6000 rows/SF: ~60k lineorders (several morsels per
+// worker at dop=4) and a seed on which all 13 SSB queries match rows.
+DatagenConfig SmallConfig(uint64_t seed = ReferenceDatasetConfig().seed) {
+  DatagenConfig config = ReferenceDatasetConfig();
   config.seed = seed;
-  config.num_freshness_tables = 4;
   return config;
 }
 
@@ -93,55 +90,59 @@ void ExpectDopEquivalence(const DataSource& source) {
     EXPECT_EQ(serial, par_dynamic) << QueryName(qid) << " dynamic morsels";
     if (!serial.empty()) ++non_empty;
   }
-  // The most selective queries (city-level Q3.3/Q3.4) may find nothing on
-  // the small test dataset, but the suite must not silently compare
-  // all-empty results (9-11 of 13 are non-empty across the test seeds).
-  EXPECT_GE(non_empty, 9);
+  // The suite must not silently compare empty results: on the reference
+  // dataset every query has groups.
+  EXPECT_EQ(non_empty, kNumQueries);
 }
 
-/// Runs query `qid` in an explicit execution mode: `vectorized` selects
-/// batch vs row-at-a-time (oracle) execution, `batch_rows` the vector
-/// width. Work charges land in `meter`.
-std::vector<Row> RunMode(const DataSource& source, int qid, int dop,
-                         bool vectorized, size_t batch_rows,
-                         WorkMeter* meter) {
+/// Runs query `qid` at `dop` (static morsels) and vector width
+/// `batch_rows`. Work charges land in `meter`.
+std::vector<Row> RunAtWidth(const DataSource& source, int qid, int dop,
+                            size_t batch_rows, WorkMeter* meter) {
   OperatorPtr plan =
       dop > 1
           ? BuildParallelQueryPlan(qid, source, dop, /*dynamic_morsels=*/false)
           : BuildQueryPlan(qid, source);
   ExecContext ctx{meter};
   ctx.dop = dop;
-  ctx.vectorized = vectorized;
   ctx.batch_rows = batch_rows;
   return Collect(plan.get(), &ctx);
 }
 
-/// The vectorization invariant at engine level: on one snapshot, every
-/// query returns bit-identical rows AND charges a bit-identical WorkMeter
-/// in batch mode — at any batch size, degenerate 1 included — as the
-/// row-at-a-time oracle, both serial and at dop=4 (worker meters merge in
-/// shard order, so parallel totals are schedule-independent too).
-void ExpectBatchMatchesRowOracle(const DataSource& source) {
-  for (const int dop : {1, 4}) {
-    for (int qid = 0; qid < kNumQueries; ++qid) {
-      WorkMeter oracle_meter;
-      const std::vector<Row> oracle = RunMode(
-          source, qid, dop, /*vectorized=*/false, 1, &oracle_meter);
-      for (const size_t batch_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
+/// The executor against the test-only SSB reference on one snapshot:
+/// every query returns exactly the reference's rows (values, types and
+/// group order), serial and at dop=4, at every batch width — degenerate
+/// 1 included — and charges a bit-identical WorkMeter at every width
+/// (worker meters merge in shard order, so parallel totals are
+/// schedule-independent too). `tables` are the snapshot's rows as
+/// storage hands them out.
+void ExpectBatchMatchesReference(const DataSource& source,
+                                 const SsbTables& tables) {
+  for (int qid = 0; qid < kNumQueries; ++qid) {
+    const ReferenceResult want = ReferenceQuery(qid, tables);
+    EXPECT_GT(want.fact_rows, 0u) << QueryName(qid) << " matches nothing";
+    for (const int dop : {1, 4}) {
+      WorkMeter first;
+      for (const size_t batch_rows :
+           {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
         SCOPED_TRACE(std::string(QueryName(qid)) + " dop=" +
                      std::to_string(dop) + " batch_rows=" +
                      std::to_string(batch_rows));
         WorkMeter meter;
         const std::vector<Row> got =
-            RunMode(source, qid, dop, /*vectorized=*/true, batch_rows, &meter);
-        EXPECT_EQ(oracle, got);
-        EXPECT_EQ(oracle_meter.rows_read, meter.rows_read);
-        EXPECT_EQ(oracle_meter.column_values, meter.column_values);
-        EXPECT_EQ(oracle_meter.output_rows, meter.output_rows);
-        EXPECT_EQ(oracle_meter.hash_probes, meter.hash_probes);
-        EXPECT_EQ(oracle_meter.index_nodes, meter.index_nodes);
-        EXPECT_EQ(oracle_meter.version_hops, meter.version_hops);
-        EXPECT_EQ(oracle_meter.Total(), meter.Total());
+            RunAtWidth(source, qid, dop, batch_rows, &meter);
+        EXPECT_EQ(DiffRows(got, want.rows), "");
+        if (batch_rows == 1) {
+          first = meter;
+          continue;
+        }
+        EXPECT_EQ(first.rows_read, meter.rows_read);
+        EXPECT_EQ(first.column_values, meter.column_values);
+        EXPECT_EQ(first.output_rows, meter.output_rows);
+        EXPECT_EQ(first.hash_probes, meter.hash_probes);
+        EXPECT_EQ(first.index_nodes, meter.index_nodes);
+        EXPECT_EQ(first.version_hops, meter.version_hops);
+        EXPECT_EQ(first.Total(), meter.Total());
       }
     }
   }
@@ -222,12 +223,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelExecTest,
                          ::testing::Values(501, 502, 503));
 
 // ---------------------------------------------------------------------------
-// Vectorized batch execution vs the row oracle (one seed per engine: the
-// sweep is 13 queries x 2 dops x 3 batch sizes, so a single mutated
-// snapshot per engine keeps the suite's runtime bounded).
+// Batch execution vs the SSB reference over a mutated snapshot (one seed
+// per engine: the sweep is 13 queries x 2 dops x 4 batch widths, so a
+// single mutated snapshot per engine keeps the suite's runtime bounded).
+// The reference reads the primary's row tables through RowTable::Scan.
 // ---------------------------------------------------------------------------
 
-TEST(BatchExecEquivalenceTest, SharedEngineBatchMatchesRowOracle) {
+TEST(BatchExecReferenceTest, SharedEngineMatchesReference) {
   const Dataset dataset = GenerateDataset(SmallConfig());
   SharedEngine engine;
   ASSERT_TRUE(
@@ -237,10 +239,12 @@ TEST(BatchExecEquivalenceTest, SharedEngineBatchMatchesRowOracle) {
 
   WorkMeter meter;
   AnalyticsSession session = engine.BeginAnalytics(&meter);
-  ExpectBatchMatchesRowOracle(*session.source);
+  ExpectBatchMatchesReference(
+      *session.source,
+      SsbTablesAt(*engine.primary_catalog(), session.snapshot));
 }
 
-TEST(BatchExecEquivalenceTest, IsolatedEngineBatchMatchesRowOracle) {
+TEST(BatchExecReferenceTest, IsolatedEngineMatchesReference) {
   const Dataset dataset = GenerateDataset(SmallConfig());
   IsolatedEngineConfig config;
   config.mode = ReplicationMode::kSyncShip;
@@ -254,10 +258,14 @@ TEST(BatchExecEquivalenceTest, IsolatedEngineBatchMatchesRowOracle) {
   while (engine.MaintenanceStep(&meter)) {
   }
   AnalyticsSession session = engine.BeginAnalytics(&meter);
-  ExpectBatchMatchesRowOracle(*session.source);
+  // The drained standby has replayed every primary commit; its snapshot
+  // counts in the standby's own timestamp domain, so the reference reads
+  // the primary's latest committed state.
+  ExpectBatchMatchesReference(
+      *session.source, SsbTablesAt(*engine.primary_catalog(), kMaxTs));
 }
 
-TEST(BatchExecEquivalenceTest, HybridEngineBatchMatchesRowOracle) {
+TEST(BatchExecReferenceTest, HybridEngineMatchesReference) {
   const Dataset dataset = GenerateDataset(SmallConfig());
   HybridEngine engine;
   ASSERT_TRUE(
@@ -267,7 +275,9 @@ TEST(BatchExecEquivalenceTest, HybridEngineBatchMatchesRowOracle) {
 
   WorkMeter meter;
   AnalyticsSession session = engine.BeginAnalytics(&meter);
-  ExpectBatchMatchesRowOracle(*session.source);
+  ExpectBatchMatchesReference(
+      *session.source,
+      SsbTablesAt(*engine.primary_catalog(), session.snapshot));
 }
 
 // ---------------------------------------------------------------------------

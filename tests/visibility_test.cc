@@ -5,8 +5,9 @@
 // matter where folds land. Also: snapshot stability (a session opened at
 // CSN c never observes later commits), the snapshot-vs-GC regression
 // (folds wait out pinned sessions and never perturb their results), and
-// work-meter parity (row vs batch vs dop=4 over a live delta; eager vs
-// bitmap once both are fully folded).
+// work-meter parity (across batch widths and dop=4 over a live delta,
+// against the test-only SSB reference; eager vs bitmap once both are
+// fully folded).
 
 #include <atomic>
 #include <chrono>
@@ -23,6 +24,7 @@
 #include "hattrick/datagen.h"
 #include "hattrick/queries.h"
 #include "hattrick/transactions.h"
+#include "tests/ssb_reference.h"
 
 namespace hattrick {
 namespace {
@@ -58,9 +60,11 @@ void RunSchedule(HtapEngine* engine, WorkloadContext* context, uint64_t seed,
 }
 
 std::vector<Row> QueryRows(int qid, const DataSource& source,
-                           WorkMeter* meter = nullptr) {
+                           WorkMeter* meter = nullptr,
+                           size_t batch_rows = DefaultBatchRows()) {
   WorkMeter local;
   ExecContext ctx{meter != nullptr ? meter : &local};
+  ctx.batch_rows = batch_rows;
   OperatorPtr plan = BuildQueryPlan(qid, source);
   return Collect(plan.get(), &ctx);
 }
@@ -257,11 +261,14 @@ TEST(SnapshotGcRegressionTest, FoldWaitsForPinnedSessionsAndPreservesResults) {
 }
 
 // ---------------------------------------------------------------------------
-// Work-meter parity over a live delta: row oracle vs batch vs dop=4.
+// Work-meter parity over a live delta: batch widths vs each other, rows
+// vs the SSB reference (serial and dop=4).
 // ---------------------------------------------------------------------------
 
-TEST(MeterParityTest, BitmapRowBatchDopAgreeOverLiveDelta) {
-  const Dataset dataset = GenerateDataset(TinyConfig(99));
+TEST(MeterParityTest, BitmapWidthsAndDopAgreeWithReferenceOverLiveDelta) {
+  // The reference dataset: every query matches rows, so the comparisons
+  // below are never between empty results.
+  const Dataset dataset = GenerateDataset(ReferenceDatasetConfig());
   HybridEngineConfig config;
   config.merge_mode = MergeMode::kBitmap;
   HybridEngine engine{config};
@@ -273,21 +280,26 @@ TEST(MeterParityTest, BitmapRowBatchDopAgreeOverLiveDelta) {
 
   WorkMeter meter;
   AnalyticsSession session = engine.BeginAnalytics(&meter);
+  // The committed state at the session's snapshot, read from the primary
+  // row store: the independent source of the expected rows.
+  const SsbTables tables =
+      SsbTablesAt(*engine.primary_catalog(), session.snapshot);
   for (int qid = 0; qid < kNumQueries; ++qid) {
-    WorkMeter row_meter;
-    ExecContext row_ctx{&row_meter};
-    row_ctx.vectorized = false;
-    OperatorPtr row_plan = BuildQueryPlan(qid, *session.source);
-    const std::vector<Row> row_rows = Collect(row_plan.get(), &row_ctx);
+    const ReferenceResult want = ReferenceQuery(qid, tables);
+    EXPECT_GT(want.fact_rows, 0u) << QueryName(qid);
 
-    WorkMeter batch_meter;
-    ExecContext batch_ctx{&batch_meter};
-    batch_ctx.vectorized = true;
-    OperatorPtr batch_plan = BuildQueryPlan(qid, *session.source);
-    const std::vector<Row> batch_rows = Collect(batch_plan.get(), &batch_ctx);
-
-    EXPECT_EQ(batch_rows, row_rows) << QueryName(qid);
-    ExpectSameMeter(batch_meter, row_meter);
+    WorkMeter unit_meter;
+    const std::vector<Row> unit_rows =
+        QueryRows(qid, *session.source, &unit_meter, 1);
+    EXPECT_EQ(DiffRows(unit_rows, want.rows), "") << QueryName(qid);
+    for (const size_t width : {size_t{7}, size_t{1024}}) {
+      WorkMeter batch_meter;
+      const std::vector<Row> batch_rows =
+          QueryRows(qid, *session.source, &batch_meter, width);
+      EXPECT_EQ(DiffRows(batch_rows, want.rows), "")
+          << QueryName(qid) << " batch_rows=" << width;
+      ExpectSameMeter(batch_meter, unit_meter);
+    }
 
     // dop=4 static morsels: identical rows. Metered totals are only
     // defined per plan shape — parallel plans replicate hash-build
@@ -300,7 +312,7 @@ TEST(MeterParityTest, BitmapRowBatchDopAgreeOverLiveDelta) {
                                                  /*dop=*/4,
                                                  /*dynamic_morsels=*/false);
     const std::vector<Row> par_rows = Collect(par_plan.get(), &par_ctx);
-    EXPECT_EQ(par_rows, row_rows) << QueryName(qid) << " dop=4";
+    EXPECT_EQ(DiffRows(par_rows, want.rows), "") << QueryName(qid) << " dop=4";
   }
 }
 

@@ -28,11 +28,9 @@
 //   --lines, --points, --max_clients   frontier options
 //   --threaded  use wall-clock threads instead of the simulator (point)
 //   --dop       intra-query parallelism per A-client   (default 1)
-//   --batch-size  rows per column-vector batch in the vectorized
-//               executor (default 1024; anything but a positive integer
-//               is a usage error)
-//   --row-exec  row-at-a-time oracle executor instead of vectorized
-//               batches (same results and metered work; for A/B runs)
+//   --batch-size  rows per column-vector batch in the executor
+//               (default 1024; anything but a positive integer is a
+//               usage error)
 //   --shards    shard count for --system=tidb-dist with the sharded
 //               distribution model (default: HATTRICK_SHARDS env, else 3;
 //               ignored by single-node systems)
@@ -269,7 +267,6 @@ int Main(int argc, char** argv) {
   base.measure_seconds = flags.GetDouble("measure", 1.0);
   base.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   base.dop = flags.GetBoundedInt("dop", 1, 1, 64);
-  base.vectorized = !flags.GetBool("row-exec", false);
   if (flags.Has("batch-size")) {
     base.batch_rows =
         flags.GetPositiveInt("batch-size", static_cast<int>(kDefaultBatchRows));
@@ -420,7 +417,6 @@ int Main(int argc, char** argv) {
       ctx.meter = &meter;
       ctx.dop = base.dop;
       ctx.dynamic_morsels = true;  // wall-clock: balance via stealing
-      ctx.vectorized = base.vectorized;
       if (base.batch_rows > 0) {
         ctx.batch_rows = static_cast<size_t>(base.batch_rows);
       }
