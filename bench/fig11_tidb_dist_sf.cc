@@ -232,12 +232,12 @@ int main() {
     bool converged = true;
     for (uint32_t s = 0; s < faulted_engine->num_shards(); ++s) {
       // Drain through every remaining fault (resends, crash recovery).
-      clean_engine->shard_replica(s)->CatchUp(nullptr);
-      faulted_engine->shard_replica(s)->CatchUp(nullptr);
-      const Replica* replica = faulted_engine->shard_replica(s);
+      clean_engine->standbys().replica(s)->CatchUp(nullptr);
+      faulted_engine->standbys().replica(s)->CatchUp(nullptr);
+      const Replica* replica = faulted_engine->standbys().replica(s);
       if (replica->Lag() != 0 || !replica->last_error().ok() ||
           replica->applied_lsn() !=
-              clean_engine->shard_replica(s)->applied_lsn()) {
+              clean_engine->standbys().replica(s)->applied_lsn()) {
         converged = false;
       }
     }

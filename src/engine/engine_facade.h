@@ -11,29 +11,10 @@
 #include "common/status.h"
 #include "common/work_meter.h"
 #include "exec/operator.h"
+#include "storage/catalog.h"
 #include "txn/txn_context.h"
 
 namespace hattrick {
-
-/// Declarative description of the database: tables plus the physical
-/// schema (indexes). The paper's physical-schema experiment (Figure 6b)
-/// varies the index list: none / T-accelerating only ("semi") / all.
-struct TableSpec {
-  std::string name;
-  Schema schema;
-};
-
-struct IndexSpec {
-  std::string name;
-  std::string table;
-  std::vector<size_t> key_columns;
-  bool unique = false;
-};
-
-struct DatabaseSpec {
-  std::vector<TableSpec> tables;
-  std::vector<IndexSpec> indexes;
-};
 
 /// What a client must wait for after the local part of a commit finishes.
 /// The benchmark driver (wall-clock or virtual-time) resolves the wait:

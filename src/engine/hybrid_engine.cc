@@ -124,8 +124,7 @@ TxnOutcome HybridEngine::ExecuteTransaction(const TxnBody& body,
         LocalTxnContext ctx(txn_manager_.get(), txn);
         return body(&ctx, meter);
       },
-      meter,
-      config_.max_retries, &outcome.attempts, &outcome.backoff_s);
+      meter, TxnManager::kMaxRetries, &outcome.attempts, &outcome.backoff_s);
   if (!result.ok()) {
     outcome.status = result.status();
     return outcome;

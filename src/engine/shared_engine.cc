@@ -4,34 +4,6 @@
 
 namespace hattrick {
 
-void BuildCatalog(const DatabaseSpec& spec, bool with_indexes,
-                  Catalog* catalog) {
-  for (const TableSpec& table : spec.tables) {
-    catalog->CreateTable(table.name, table.schema);
-  }
-  if (with_indexes) {
-    for (const IndexSpec& index : spec.indexes) {
-      catalog->CreateIndex(index.name, index.table, index.key_columns,
-                           index.unique);
-    }
-  }
-}
-
-Status BulkLoadInto(Catalog* catalog, const std::string& table,
-                    const std::vector<Row>& rows) {
-  RowTable* t = catalog->GetTable(table);
-  if (t == nullptr) return Status::NotFound("no such table: " + table);
-  const TableId id = catalog->GetTableId(table);
-  for (const Row& row : rows) {
-    HATTRICK_RETURN_IF_ERROR(t->schema().ValidateRow(row));
-    const Rid rid = t->Insert(row, /*begin_ts=*/1, /*meter=*/nullptr);
-    for (const IndexInfo* index : catalog->TableIndexes(id)) {
-      index->tree->Insert(index->KeyFor(row, rid), rid, /*meter=*/nullptr);
-    }
-  }
-  return Status::OK();
-}
-
 SharedEngine::SharedEngine(SharedEngineConfig config)
     : config_(std::move(config)) {}
 
@@ -72,7 +44,7 @@ TxnOutcome SharedEngine::ExecuteTransaction(const TxnBody& body,
         return body(&ctx, meter);
       },
       meter,
-      config_.max_retries, &outcome.attempts, &outcome.backoff_s);
+      TxnManager::kMaxRetries, &outcome.attempts, &outcome.backoff_s);
   if (!result.ok()) {
     outcome.status = result.status();
     return outcome;

@@ -47,15 +47,6 @@ class SharedEngine final : public HtapEngine {
   bool loaded_ = false;
 };
 
-/// Shared helper for all engines: creates tables/indexes in a catalog.
-void BuildCatalog(const DatabaseSpec& spec, bool with_indexes,
-                  Catalog* catalog);
-
-/// Shared helper: inserts `rows` into `table` at load timestamp 1 and
-/// maintains the catalog's indexes.
-Status BulkLoadInto(Catalog* catalog, const std::string& table,
-                    const std::vector<Row>& rows);
-
 }  // namespace hattrick
 
 #endif  // HATTRICK_ENGINE_SHARED_ENGINE_H_

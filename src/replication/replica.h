@@ -37,7 +37,7 @@ namespace hattrick {
 /// No path asserts or aborts; unexpected stream states surface as
 /// kError with the Status preserved in last_error().
 ///
-/// The owner (IsolatedEngine) decides *when* Step runs: in simulated
+/// The owner (StandbySet) decides *when* Step runs: in simulated
 /// time it is a dedicated applier process on the standby's cores; in
 /// threaded mode it is an applier thread.
 class Replica {

@@ -49,7 +49,7 @@ struct ShippedRecord {
 /// kOutOfRange) and requests retransmission from the retention buffer;
 /// Acknowledge() trims the buffer once records are durably applied. The
 /// buffer is bounded operationally by backpressure: its depth is the
-/// backlog signal the isolated engine uses to throttle commits, so a
+/// backlog signal StandbySet uses to throttle commits, so a
 /// healthy system keeps it near the ship/apply lag instead of letting it
 /// grow without bound.
 ///

@@ -5,29 +5,11 @@
 #include <utility>
 
 #include "engine/engine_factory.h"
-#include "engine/shared_engine.h"
 #include "exec/scan.h"
 
 namespace hattrick {
 
 namespace {
-
-/// Fans one WAL record out to the inner engine's own sink (the hybrid
-/// column-store delta feed) and to the shard's replication stream. Runs
-/// inside the commit tail, so records arrive in commit order on both.
-class TeeSink final : public WalSink {
- public:
-  TeeSink(WalSink* inner, WalStream* stream) : inner_(inner), stream_(stream) {}
-
-  void OnCommit(const WalRecord& record) override {
-    if (inner_ != nullptr) inner_->OnCommit(record);
-    stream_->OnCommit(record);
-  }
-
- private:
-  WalSink* inner_;
-  WalStream* stream_;
-};
 
 /// Drains its children in order — the union of per-shard scans of one
 /// logical table. Children produce disjoint row sets (each shard scans
@@ -414,7 +396,7 @@ class ShardedTxnContext final : public TxnContext {
 
  private:
   TxnManager* Manager(uint32_t shard) const {
-    return engine_->shards_[shard].engine->txn_manager();
+    return engine_->shards_[shard]->txn_manager();
   }
 
   const TablePlacement& Placement(TableId table_id) const {
@@ -443,9 +425,9 @@ class ShardedTxnContext final : public TxnContext {
     // Map the shard-0 index onto this shard's equivalent by name; table
     // ids and index definitions are identical across shards.
     const IndexInfo* local =
-        shard == 0 ? &index
-                   : engine_->shards_[shard].engine->primary_catalog()->GetIndex(
-                         index.name);
+        shard == 0
+            ? &index
+            : engine_->shards_[shard]->primary_catalog()->GetIndex(index.name);
     assert(local != nullptr);
     return Manager(shard)->IndexLookup(
         Txn(shard), *local, key_values,
@@ -482,38 +464,16 @@ Status ShardedEngine::Create(const DatabaseSpec& spec) {
   router_ = std::make_unique<ShardRouter>(config_.shards, config_.seed,
                                           config_.plan);
   shards_.resize(config_.shards);
+  standbys_.Create(spec, config_.shards, config_.fault);
   for (uint32_t i = 0; i < config_.shards; ++i) {
-    Shard& shard = shards_[i];
     HybridEngineConfig node = config_.node;
     node.name = config_.name + "/shard" + std::to_string(i);
-    shard.engine = MakeHybridEngine(std::move(node));
-    HATTRICK_RETURN_IF_ERROR(shard.engine->Create(spec));
-    if (config_.replicate) {
-      shard.standby = std::make_unique<Catalog>();
-      BuildCatalog(spec, /*with_indexes=*/true, shard.standby.get());
-      shard.standby_snapshot = std::make_unique<Catalog>();
-      BuildCatalog(spec, /*with_indexes=*/false, shard.standby_snapshot.get());
-      shard.stream = std::make_unique<WalStream>();
-      shard.replica =
-          std::make_unique<Replica>(shard.standby.get(), shard.stream.get());
-      if (config_.fault.enabled) {
-        // Mix the shard index into the seed: shards fail independently
-        // but each schedule stays seed-deterministic.
-        FaultConfig per_shard = config_.fault;
-        per_shard.seed =
-            config_.fault.seed ^
-            (0x9e3779b97f4a7c15ull * static_cast<uint64_t>(i + 1));
-        shard.injector = std::make_unique<FaultInjector>(per_shard);
-        shard.stream->SetFaultInjector(shard.injector.get());
-        shard.replica->SetFaultInjector(shard.injector.get());
-      }
-      TxnManager* manager = shard.engine->txn_manager();
-      shard.tee =
-          std::make_unique<TeeSink>(manager->sink(), shard.stream.get());
-      manager->set_sink(shard.tee.get());
-    }
+    shards_[i] = MakeHybridEngine(std::move(node));
+    HATTRICK_RETURN_IF_ERROR(shards_[i]->Create(spec));
+    TxnManager* manager = shards_[i]->txn_manager();
+    manager->set_sink(standbys_.AddSink(i, 1, manager->sink()));
   }
-  router_->Bind(*shards_[0].engine->primary_catalog());
+  router_->Bind(*shards_[0]->primary_catalog());
   created_ = true;
   return Status::OK();
 }
@@ -522,16 +482,11 @@ Status ShardedEngine::BulkLoad(const std::string& table,
                                const std::vector<Row>& rows) {
   if (!created_) return Status::Internal("Create not called");
   if (loaded_) return Status::Internal("load already finished");
-  const TableId table_id =
-      shards_[0].engine->primary_catalog()->GetTableId(table);
+  const TableId table_id = shards_[0]->primary_catalog()->GetTableId(table);
   const TablePlacement& placement = router_->PlacementOf(table_id);
   auto load_shard = [&](uint32_t shard, const std::vector<Row>& part) {
-    HATTRICK_RETURN_IF_ERROR(shards_[shard].engine->BulkLoad(table, part));
-    if (config_.replicate) {
-      HATTRICK_RETURN_IF_ERROR(
-          BulkLoadInto(shards_[shard].standby.get(), table, part));
-    }
-    return Status::OK();
+    HATTRICK_RETURN_IF_ERROR(shards_[shard]->BulkLoad(table, part));
+    return standbys_.BulkLoad(shard, table, part);
   };
   switch (placement.placement) {
     case Placement::kHashed: {
@@ -557,13 +512,10 @@ Status ShardedEngine::BulkLoad(const std::string& table,
 
 Status ShardedEngine::FinishLoad() {
   if (loaded_) return Status::Internal("load already finished");
-  for (Shard& shard : shards_) {
-    HATTRICK_RETURN_IF_ERROR(shard.engine->FinishLoad());
-    if (config_.replicate) {
-      shard.standby_snapshot->CopyContentsFrom(*shard.standby);
-      shard.replica->ResetTo(/*lsn=*/0, /*ts=*/1);
-    }
+  for (auto& shard : shards_) {
+    HATTRICK_RETURN_IF_ERROR(shard->FinishLoad());
   }
+  standbys_.FinishLoad();
   loaded_ = true;
   return Status::OK();
 }
@@ -573,13 +525,18 @@ TxnOutcome ShardedEngine::ExecuteTransaction(const TxnBody& body,
                                              uint64_t txn_num,
                                              WorkMeter* meter) {
   if (config_.shards == 1) {
-    // Bit-identical single-node fast path: no routing, no 2PC.
-    return shards_[0].engine->ExecuteTransaction(body, client_id, txn_num,
-                                                 meter);
+    // Bit-identical single-node fast path: no routing, no 2PC. Only the
+    // standby's commit throttle is added, as on the routed path.
+    TxnOutcome outcome =
+        shards_[0]->ExecuteTransaction(body, client_id, txn_num, meter);
+    if (outcome.status.ok() && outcome.lsn != 0) {
+      outcome.wait = CommitWaitFor(outcome.lsn, 0);
+    }
+    return outcome;
   }
   TxnOutcome outcome;
   Status last = Status::Internal("not run");
-  for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt <= TxnManager::kMaxRetries; ++attempt) {
     if (attempt > 0) {
       outcome.backoff_s +=
           TxnManager::RetryBackoffSeconds(client_id, txn_num, attempt - 1);
@@ -627,7 +584,6 @@ Status ShardedEngine::CommitRouted(ShardedTxnContext* ctx, uint32_t client_id,
   outcome->wait = CommitWait{};
   outcome->write_keys.clear();
   outcome->delta_keys.clear();
-  const uint64_t bytes_before = meter != nullptr ? meter->wal_bytes : 0;
 
   std::vector<Participant> participants;
   for (uint32_t shard = 0; shard < config_.shards; ++shard) {
@@ -659,15 +615,11 @@ Status ShardedEngine::CommitRouted(ShardedTxnContext* ctx, uint32_t client_id,
 
   if (participants.size() == 1) {
     Participant& p = participants[0];
-    TxnManager* manager = shards_[p.shard].engine->txn_manager();
+    TxnManager* manager = shards_[p.shard]->txn_manager();
     StatusOr<CommitResult> result = manager->Commit(p.txn.get(), meter);
     if (!result.ok()) return result.status();
     fold_result(p.shard, result.value());
-    if (outcome->lsn != 0) {
-      outcome->wait = CommitWaitFor(
-          outcome->lsn,
-          meter != nullptr ? meter->wal_bytes - bytes_before : 0);
-    }
+    if (outcome->lsn != 0) outcome->wait = CommitWaitFor(outcome->lsn, 0);
     return Status::OK();
   }
 
@@ -687,7 +639,7 @@ Status ShardedEngine::CommitRouted(ShardedTxnContext* ctx, uint32_t client_id,
       return Status::Internal("2pc coordinator crash (injected): mid-prepare");
     }
     Participant& p = participants[k];
-    TxnManager* manager = shards_[p.shard].engine->txn_manager();
+    TxnManager* manager = shards_[p.shard]->txn_manager();
     obs::ScopedSpan span(obs_.tracer, obs_.clock, "2pc-prepare", "shard",
                          track);
     span.AppendArgs("\"gtid\":" + std::to_string(gtid) +
@@ -700,8 +652,8 @@ Status ShardedEngine::CommitRouted(ShardedTxnContext* ctx, uint32_t client_id,
       // rolled back by the failed Prepare itself.
       for (uint32_t j = 0; j < k; ++j) {
         Participant& q = participants[j];
-        shards_[q.shard].engine->txn_manager()->AbortPrepared(q.txn.get(),
-                                                              &q.prepared);
+        shards_[q.shard]->txn_manager()->AbortPrepared(q.txn.get(),
+                                                       &q.prepared);
       }
       if (aborts_2pc_metric_ != nullptr) aborts_2pc_metric_->Inc();
       return prepared;
@@ -738,7 +690,7 @@ Status ShardedEngine::CommitRouted(ShardedTxnContext* ctx, uint32_t client_id,
       return Status::Internal("2pc coordinator crash (injected): mid-commit");
     }
     Participant& p = participants[k];
-    TxnManager* manager = shards_[p.shard].engine->txn_manager();
+    TxnManager* manager = shards_[p.shard]->txn_manager();
     obs::ScopedSpan span(obs_.tracer, obs_.clock, "2pc-publish", "shard",
                          track);
     span.AppendArgs("\"gtid\":" + std::to_string(gtid) +
@@ -755,10 +707,7 @@ Status ShardedEngine::CommitRouted(ShardedTxnContext* ctx, uint32_t client_id,
         "\"gtid\":" + std::to_string(gtid) +
             ",\"participants\":" + std::to_string(participants.size()));
   }
-  if (outcome->lsn != 0) {
-    outcome->wait = CommitWaitFor(
-        outcome->lsn, meter != nullptr ? meter->wal_bytes - bytes_before : 0);
-  }
+  if (outcome->lsn != 0) outcome->wait = CommitWaitFor(outcome->lsn, 0);
   return Status::OK();
 }
 
@@ -806,7 +755,7 @@ size_t ShardedEngine::RecoverCoordinator() {
     const bool commit = decision != decisions.end() && decision->second;
     for (Participant& p : pending.participants) {
       if (p.done) continue;
-      TxnManager* manager = shards_[p.shard].engine->txn_manager();
+      TxnManager* manager = shards_[p.shard]->txn_manager();
       if (commit) {
         manager->CommitPrepared(p.txn.get(), &p.prepared, /*meter=*/nullptr);
       } else {
@@ -830,12 +779,12 @@ size_t ShardedEngine::PendingGlobalTxns() const {
 
 AnalyticsSession ShardedEngine::BeginAnalytics(WorkMeter* meter) {
   if (config_.shards == 1) {
-    return shards_[0].engine->BeginAnalytics(meter);
+    return shards_[0]->BeginAnalytics(meter);
   }
   std::vector<AnalyticsSession> sessions;
   sessions.reserve(config_.shards);
-  for (Shard& shard : shards_) {
-    sessions.push_back(shard.engine->BeginAnalytics(meter));
+  for (auto& shard : shards_) {
+    sessions.push_back(shard->BeginAnalytics(meter));
   }
   auto guards = std::make_shared<SessionGuards>();
   guards->pins.reserve(sessions.size());
@@ -846,93 +795,44 @@ AnalyticsSession ShardedEngine::BeginAnalytics(WorkMeter* meter) {
   session.snapshot = sessions[0].snapshot;
   session.source = std::make_unique<ShardedDataSource>(
       std::move(sessions), router_.get(),
-      shards_[0].engine->primary_catalog(), config_.fact_table);
+      shards_[0]->primary_catalog(), config_.fact_table);
   session.guard = std::move(guards);
   return session;
 }
 
 bool ShardedEngine::MaintenanceStep(WorkMeter* meter) {
-  // Replication first: advance the furthest-behind healthy standby.
-  if (config_.replicate) {
-    Shard* laggard = nullptr;
-    for (Shard& shard : shards_) {
-      if (!shard.replica->last_error().ok()) continue;
-      if (shard.replica->Lag() == 0) continue;
-      if (laggard == nullptr ||
-          shard.replica->applied_lsn() < laggard->replica->applied_lsn()) {
-        laggard = &shard;
-      }
-    }
-    if (laggard != nullptr) {
-      switch (laggard->replica->Step(meter)) {
-        case Replica::StepResult::kApplied:
-        case Replica::StepResult::kDuplicateSkipped:
-        case Replica::StepResult::kResendRequested:
-        case Replica::StepResult::kRecovered:
-          return true;
-        case Replica::StepResult::kError:
-        case Replica::StepResult::kBackingOff:
-        case Replica::StepResult::kIdle:
-          break;
-      }
-    }
-  }
-  // Then the inner engines' own maintenance (bitmap-mode folds).
-  for (Shard& shard : shards_) {
-    if (shard.engine->MaintenanceStep(meter)) return true;
+  // Replication first, then the inner engines' own maintenance
+  // (bitmap-mode folds).
+  if (standbys_.Step(meter)) return true;
+  for (auto& shard : shards_) {
+    if (shard->MaintenanceStep(meter)) return true;
   }
   return false;
 }
 
 size_t ShardedEngine::MaintenancePending() const {
-  size_t pending = 0;
-  for (const Shard& shard : shards_) {
-    pending += shard.engine->MaintenancePending();
-    if (config_.replicate && shard.replica->last_error().ok()) {
-      pending += shard.replica->Lag();
-    }
+  size_t pending = standbys_.Pending();
+  for (const auto& shard : shards_) {
+    pending += shard->MaintenancePending();
   }
   return pending;
 }
 
-double ShardedEngine::BackpressureThrottle() const {
-  if (!config_.replicate) return 0;
-  size_t backlog = 0;
-  for (const Shard& shard : shards_) {
-    backlog = std::max(backlog, shard.stream->RetainedRecords());
-  }
-  if (backlog <= config_.max_backlog_records) return 0;
-  const double excess =
-      static_cast<double>(backlog - config_.max_backlog_records);
-  return std::min(config_.backpressure_stall_cap_s,
-                  config_.backpressure_stall_s * excess);
-}
-
 CommitWait ShardedEngine::CommitWaitFor(uint64_t lsn, uint64_t wal_bytes) {
-  // Replication is an asynchronous learner tail: commits never wait for
-  // shipping or apply, only for backpressure once a shard's standby
-  // backlog grows too deep (plus any injected ship-delay fault).
+  // The learner standbys never make a commit wait for shipping or apply;
+  // only their backpressure and injected ship delay throttle it.
   (void)wal_bytes;
   CommitWait wait;
-  double throttle = BackpressureThrottle();
-  for (const Shard& shard : shards_) {
-    if (shard.injector != nullptr) {
-      throttle = std::max(throttle, shard.injector->ShipDelaySeconds(lsn));
-    }
-  }
-  wait.throttle_s = throttle;
+  wait.throttle_s = standbys_.CommitThrottle(lsn);
   return wait;
 }
 
 size_t ShardedEngine::Vacuum() {
   size_t dropped = 0;
-  for (Shard& shard : shards_) {
-    dropped += shard.engine->Vacuum();
-    if (config_.replicate) {
-      dropped += shard.standby->VacuumAll(shard.replica->Snapshot());
-    }
+  for (auto& shard : shards_) {
+    dropped += shard->Vacuum();
   }
-  return dropped;
+  return dropped + standbys_.Vacuum();
 }
 
 Status ShardedEngine::Reset() {
@@ -940,14 +840,10 @@ Status ShardedEngine::Reset() {
   // Drain any parked distributed transactions first: their reserved
   // commit slots would stall the inner engines' ordered tails forever.
   RecoverCoordinator();
-  for (Shard& shard : shards_) {
-    HATTRICK_RETURN_IF_ERROR(shard.engine->Reset());
-    if (config_.replicate) {
-      shard.standby->CopyContentsFrom(*shard.standby_snapshot);
-      shard.stream->Reset();
-      shard.replica->ResetTo(/*lsn=*/0, /*ts=*/1);
-    }
+  for (auto& shard : shards_) {
+    HATTRICK_RETURN_IF_ERROR(shard->Reset());
   }
+  standbys_.Reset();
   two_pc_log_.Reset();
   next_gtid_.store(1, std::memory_order_relaxed);
   return Status::OK();
@@ -957,9 +853,10 @@ void ShardedEngine::OnObservabilityChanged() {
   // Every inner engine gets the same bundle (its manager metrics, merge
   // counters, index split counters). Shard 0's manager was already wired
   // by the base class; re-wiring is idempotent.
-  for (Shard& shard : shards_) {
-    shard.engine->SetObservability(obs_);
+  for (auto& shard : shards_) {
+    shard->SetObservability(obs_);
   }
+  standbys_.SetObservability(obs_);
   if (obs_.metrics == nullptr) {
     prepares_metric_ = commits_2pc_metric_ = aborts_2pc_metric_ =
         recoveries_metric_ = nullptr;
@@ -971,14 +868,11 @@ void ShardedEngine::OnObservabilityChanged() {
   recoveries_metric_ =
       obs_.metrics->GetCounter(obs::kShard2pcCoordinatorRecoveries);
   for (uint32_t i = 0; i < config_.shards; ++i) {
-    Shard* shard = &shards_[i];
+    const WalStream* stream = standbys_.stream(i);
     obs_.metrics
         ->GetGauge(std::string(obs::kShardBacklogPrefix) + std::to_string(i))
-        ->SetProbe([this, shard] {
-          if (config_.replicate) {
-            return static_cast<double>(shard->stream->RetainedRecords());
-          }
-          return static_cast<double>(shard->engine->MaintenancePending());
+        ->SetProbe([stream] {
+          return static_cast<double>(stream->RetainedRecords());
         });
   }
 }

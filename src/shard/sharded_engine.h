@@ -12,8 +12,7 @@
 #include "engine/engine_config.h"
 #include "engine/htap_engine.h"
 #include "fault/fault_injector.h"
-#include "replication/replica.h"
-#include "replication/wal_stream.h"
+#include "replication/standby_set.h"
 #include "shard/shard_router.h"
 #include "shard/two_pc.h"
 #include "txn/txn_context.h"
@@ -38,18 +37,9 @@ struct ShardedEngineConfig {
   std::string fact_table = "LINEORDER";
   /// Each shard node is one hybrid (row + column copy) engine.
   HybridEngineConfig node;
-  int max_retries = 50;
-  /// Per-shard replication chain (WAL stream -> row-store standby),
-  /// pumped by MaintenanceStep. Replication is asynchronous — a learner
-  /// tail like TiFlash's: it never gates commit visibility, only
-  /// backpressures commits once a standby's backlog grows too deep.
-  bool replicate = true;
-  /// Replication-layer fault injection (per-shard injectors with mixed
-  /// seeds, as in IsolatedEngineConfig).
+  /// Replication-layer fault injection on the per-shard standbys (one
+  /// injector per shard with a mixed seed; see StandbySet::Create).
   FaultConfig fault;
-  size_t max_backlog_records = 4096;
-  double backpressure_stall_s = 20e-6;
-  double backpressure_stall_cap_s = 5e-3;
 };
 
 /// Coordinator crash injection for 2PC chaos tests: the next multi-shard
@@ -70,9 +60,9 @@ struct TwoPcCrash {
 
 /// Horizontal scale-out behind the single-node facade: N hybrid engines
 /// (one per shard), a deterministic hash router over the table placement
-/// plan, two-phase commit for cross-shard transactions, per-shard
-/// asynchronous replication chains, and scatter/gather analytics via
-/// per-shard session views (DataSource::ShardViews).
+/// plan, two-phase commit for cross-shard transactions, one asynchronous
+/// learner standby per shard (a StandbySet), and scatter/gather
+/// analytics via per-shard session views (DataSource::ShardViews).
 ///
 /// Transactions run against a routed TxnContext: each operation lands on
 /// the shard(s) its placement dictates, and commit runs 1PC when a
@@ -103,23 +93,15 @@ class ShardedEngine final : public HtapEngine {
   CommitWait CommitWaitFor(uint64_t lsn, uint64_t wal_bytes) override;
   size_t Vacuum() override;
   Status Reset() override;
-  Catalog* primary_catalog() override {
-    return shards_[0].engine->primary_catalog();
-  }
-  TxnManager* txn_manager() override { return shards_[0].engine->txn_manager(); }
+  Catalog* primary_catalog() override { return shards_[0]->primary_catalog(); }
+  TxnManager* txn_manager() override { return shards_[0]->txn_manager(); }
 
   uint32_t num_shards() const { return config_.shards; }
   const ShardRouter& router() const { return *router_; }
-  HtapEngine* shard_engine(uint32_t shard) {
-    return shards_[shard].engine.get();
-  }
-  Replica* shard_replica(uint32_t shard) {
-    return shards_[shard].replica.get();
-  }
-  const WalStream* shard_stream(uint32_t shard) const {
-    return shards_[shard].stream.get();
-  }
-  const TwoPcLog& two_pc_log() const { return two_pc_log_; }
+  /// The replication chain: standby i is shard i's learner. It is
+  /// asynchronous, like TiFlash's: it never gates commit visibility, only
+  /// backpressures commits once a standby's backlog grows too deep.
+  StandbySet& standbys() { return standbys_; }
 
   /// Arms a one-shot coordinator crash (tests). The crashed commit
   /// returns a non-retryable Internal status and its prepared state
@@ -139,18 +121,6 @@ class ShardedEngine final : public HtapEngine {
 
  private:
   friend class ShardedTxnContext;
-
-  /// One shard node: the inner engine plus its replication chain.
-  struct Shard {
-    std::unique_ptr<HtapEngine> engine;
-    // Replication chain (null when !config_.replicate).
-    std::unique_ptr<Catalog> standby;           // row-store replica catalog
-    std::unique_ptr<Catalog> standby_snapshot;  // post-load state for Reset
-    std::unique_ptr<WalStream> stream;
-    std::unique_ptr<Replica> replica;
-    std::unique_ptr<FaultInjector> injector;
-    std::unique_ptr<WalSink> tee;  // inner sink + stream fan-out
-  };
 
   /// Per-participant state of one distributed commit.
   struct Participant {
@@ -181,11 +151,10 @@ class ShardedEngine final : public HtapEngine {
   void ParkCrashed(uint64_t gtid, std::vector<Participant> participants,
                    bool decided, bool commit);
 
-  double BackpressureThrottle() const;
-
   ShardedEngineConfig config_;
   DatabaseSpec spec_;
-  std::vector<Shard> shards_;
+  std::vector<std::unique_ptr<HtapEngine>> shards_;  // one hybrid per shard
+  StandbySet standbys_;  // standby i is shard i's learner
   std::unique_ptr<ShardRouter> router_;
   TwoPcLog two_pc_log_;
   std::atomic<uint64_t> next_gtid_{1};

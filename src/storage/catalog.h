@@ -29,6 +29,26 @@ struct IndexInfo {
   std::string KeyFor(const Row& row, Rid rid) const;
 };
 
+/// Declarative description of the database: tables plus the physical
+/// schema (indexes). The paper's physical-schema experiment (Figure 6b)
+/// varies the index list: none / T-accelerating only ("semi") / all.
+struct TableSpec {
+  std::string name;
+  Schema schema;
+};
+
+struct IndexSpec {
+  std::string name;
+  std::string table;
+  std::vector<size_t> key_columns;
+  bool unique = false;
+};
+
+struct DatabaseSpec {
+  std::vector<TableSpec> tables;
+  std::vector<IndexSpec> indexes;
+};
+
 /// Owns the row tables and indexes of one engine node (primary, replica).
 ///
 /// A node's catalog is deterministic: table ids are assigned in creation
@@ -85,6 +105,16 @@ class Catalog {
   std::unordered_map<std::string, IndexInfo*> indexes_by_name_;
   std::vector<std::vector<IndexInfo*>> indexes_by_table_;
 };
+
+/// Creates `spec`'s tables (and, with `with_indexes`, its indexes) in a
+/// catalog. Every node of every engine builds its catalogs this way.
+void BuildCatalog(const DatabaseSpec& spec, bool with_indexes,
+                  Catalog* catalog);
+
+/// Inserts `rows` into `table` at load timestamp 1 and maintains the
+/// catalog's indexes.
+Status BulkLoadInto(Catalog* catalog, const std::string& table,
+                    const std::vector<Row>& rows);
 
 }  // namespace hattrick
 

@@ -246,8 +246,12 @@ class TxnManager {
   static double RetryBackoffSeconds(uint32_t client_id, uint64_t txn_num,
                                     int attempt);
 
+  /// Retries every engine grants an aborted transaction before giving
+  /// up; only the final success counts toward throughput.
+  static constexpr int kMaxRetries = 50;
+
   /// Executes `body` as a transaction, retrying on kAborted up to
-  /// `max_retries` times with deterministic exponential backoff; counts
+  /// `max_retries` times (engines pass kMaxRetries) with deterministic exponential backoff; counts
   /// attempts and accumulated backoff. Convenience used by workload
   /// drivers, which retry aborted transactions (only successes count
   /// toward throughput, matching the paper's "successful transactions per

@@ -117,10 +117,10 @@ TEST_P(ConsistencyTest, IsolatedStandbyConvergesToPrimary) {
   WorkMeter meter;
   while (engine.MaintenanceStep(&meter)) {
   }
-  EXPECT_EQ(engine.ReplicationLag(), 0u);
+  EXPECT_EQ(engine.standbys().MaxLag(), 0u);
 
   Catalog* primary = engine.primary_catalog();
-  Catalog* standby = engine.replica()->catalog();
+  Catalog* standby = engine.standbys().catalog(0);
   for (TableId id = 0; id < primary->num_tables(); ++id) {
     RowTable* p = primary->GetTable(id);
     RowTable* s = standby->GetTable(id);

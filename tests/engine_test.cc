@@ -260,7 +260,7 @@ TEST_F(IsolatedEngineTest, AsyncModeNoWait) {
 TEST_F(IsolatedEngineTest, StandbyAnalyticsLagUntilReplay) {
   Load(ReplicationMode::kSyncShip);
   ASSERT_TRUE(Insert(100).status.ok());
-  EXPECT_EQ(engine_->ReplicationLag(), 1u);
+  EXPECT_EQ(engine_->standbys().MaxLag(), 1u);
 
   // Before replay: standby analytics do not see the insert.
   WorkMeter meter;
@@ -276,7 +276,7 @@ TEST_F(IsolatedEngineTest, StandbyAnalyticsLagUntilReplay) {
   }
 
   ASSERT_TRUE(engine_->MaintenanceStep(&meter));
-  EXPECT_EQ(engine_->ReplicationLag(), 0u);
+  EXPECT_EQ(engine_->standbys().MaxLag(), 0u);
   AnalyticsSession fresh = engine_->BeginAnalytics(&meter);
   OperatorPtr scan = fresh.source->Scan(spec);
   ExecContext ctx{&meter};
@@ -308,14 +308,14 @@ TEST_F(IsolatedEngineTest, MultiReplicaRoundRobinAndConvergence) {
   ASSERT_TRUE(Insert(100).status.ok());
 
   // One record shipped to each standby; lag reported as the max.
-  EXPECT_EQ(engine_->ReplicationLag(), 1u);
+  EXPECT_EQ(engine_->standbys().MaxLag(), 1u);
   WorkMeter meter;
   // Draining requires one apply per standby.
   EXPECT_TRUE(engine_->MaintenanceStep(&meter));
   EXPECT_TRUE(engine_->MaintenanceStep(&meter));
-  EXPECT_EQ(engine_->ReplicationLag(), 1u);  // one standby still behind
+  EXPECT_EQ(engine_->standbys().MaxLag(), 1u);  // one standby still behind
   EXPECT_TRUE(engine_->MaintenanceStep(&meter));
-  EXPECT_EQ(engine_->ReplicationLag(), 0u);
+  EXPECT_EQ(engine_->standbys().MaxLag(), 0u);
   EXPECT_FALSE(engine_->MaintenanceStep(&meter));
 
   // All standbys converged: three consecutive sessions (round-robin hits
@@ -360,9 +360,9 @@ TEST_F(IsolatedEngineTest, MultiReplicaReset) {
   ASSERT_TRUE(engine_->FinishLoad().ok());
   ASSERT_TRUE(Insert(300).status.ok());
   ASSERT_TRUE(engine_->Reset().ok());
-  EXPECT_EQ(engine_->ReplicationLag(), 0u);
+  EXPECT_EQ(engine_->standbys().MaxLag(), 0u);
   for (int i = 0; i < 2; ++i) {
-    EXPECT_EQ(engine_->replica(i)->catalog()->GetTable("items")->NumSlots(),
+    EXPECT_EQ(engine_->standbys().catalog(i)->GetTable("items")->NumSlots(),
               50u);
   }
   // Works again after reset.

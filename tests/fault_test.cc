@@ -157,7 +157,7 @@ void RunHistory(IsolatedEngine* engine, uint64_t seed, int txns) {
   }
   // Drain through every remaining fault (CatchUp drives resends,
   // backoff, crash recovery and resync internally).
-  engine->replica(0)->CatchUp(nullptr);
+  engine->standbys().replica(0)->CatchUp(nullptr);
 }
 
 std::vector<Row> LatestContents(Catalog* catalog) {
@@ -191,18 +191,18 @@ TEST(FaultConvergenceTest, FaultedRunMatchesFaultFreeRun) {
     // The faulted standby recovered everything: same contents as its
     // own primary and as the fault-free standby, nothing left pending
     // (zero staleness for any query started now).
-    EXPECT_EQ(LatestContents(faulted->replica(0)->catalog()),
+    EXPECT_EQ(LatestContents(faulted->standbys().replica(0)->catalog()),
               LatestContents(faulted->primary_catalog()));
-    EXPECT_EQ(LatestContents(faulted->replica(0)->catalog()),
-              LatestContents(clean->replica(0)->catalog()));
-    EXPECT_EQ(faulted->replica(0)->Lag(), 0u);
-    EXPECT_EQ(faulted->replica(0)->applied_lsn(),
-              clean->replica(0)->applied_lsn());
-    EXPECT_TRUE(faulted->replica(0)->last_error().ok())
-        << faulted->replica(0)->last_error().ToString();
+    EXPECT_EQ(LatestContents(faulted->standbys().replica(0)->catalog()),
+              LatestContents(clean->standbys().replica(0)->catalog()));
+    EXPECT_EQ(faulted->standbys().replica(0)->Lag(), 0u);
+    EXPECT_EQ(faulted->standbys().replica(0)->applied_lsn(),
+              clean->standbys().replica(0)->applied_lsn());
+    EXPECT_TRUE(faulted->standbys().replica(0)->last_error().ok())
+        << faulted->standbys().replica(0)->last_error().ToString();
     // The standby index carries no stale keys: one entry per live row.
-    EXPECT_EQ(faulted->replica(0)->catalog()->GetIndex("kv_pk")->tree->size(),
-              LatestContents(faulted->replica(0)->catalog()).size());
+    EXPECT_EQ(faulted->standbys().replica(0)->catalog()->GetIndex("kv_pk")->tree->size(),
+              LatestContents(faulted->standbys().replica(0)->catalog()).size());
   }
 }
 
@@ -214,28 +214,28 @@ TEST(FaultConvergenceTest, SameSeedSameRecoveryTrace) {
   RunHistory(a.get(), /*seed=*/21, /*txns=*/200);
   RunHistory(b.get(), /*seed=*/21, /*txns=*/200);
 
-  EXPECT_EQ(a->stream(0)->injected_drops(), b->stream(0)->injected_drops());
-  EXPECT_EQ(a->stream(0)->injected_duplicates(),
-            b->stream(0)->injected_duplicates());
-  EXPECT_EQ(a->stream(0)->injected_reorders(),
-            b->stream(0)->injected_reorders());
-  EXPECT_EQ(a->stream(0)->resends_requested(),
-            b->stream(0)->resends_requested());
-  EXPECT_EQ(a->stream(0)->resends_delivered(),
-            b->stream(0)->resends_delivered());
-  EXPECT_EQ(a->stream(0)->resends_lost(), b->stream(0)->resends_lost());
-  EXPECT_EQ(a->replica(0)->duplicate_skips(),
-            b->replica(0)->duplicate_skips());
-  EXPECT_EQ(a->replica(0)->resend_requests(),
-            b->replica(0)->resend_requests());
-  EXPECT_EQ(a->replica(0)->crash_recoveries(),
-            b->replica(0)->crash_recoveries());
-  EXPECT_EQ(a->replica(0)->applied_lsn(), b->replica(0)->applied_lsn());
+  EXPECT_EQ(a->standbys().stream(0)->injected_drops(), b->standbys().stream(0)->injected_drops());
+  EXPECT_EQ(a->standbys().stream(0)->injected_duplicates(),
+            b->standbys().stream(0)->injected_duplicates());
+  EXPECT_EQ(a->standbys().stream(0)->injected_reorders(),
+            b->standbys().stream(0)->injected_reorders());
+  EXPECT_EQ(a->standbys().stream(0)->resends_requested(),
+            b->standbys().stream(0)->resends_requested());
+  EXPECT_EQ(a->standbys().stream(0)->resends_delivered(),
+            b->standbys().stream(0)->resends_delivered());
+  EXPECT_EQ(a->standbys().stream(0)->resends_lost(), b->standbys().stream(0)->resends_lost());
+  EXPECT_EQ(a->standbys().replica(0)->duplicate_skips(),
+            b->standbys().replica(0)->duplicate_skips());
+  EXPECT_EQ(a->standbys().replica(0)->resend_requests(),
+            b->standbys().replica(0)->resend_requests());
+  EXPECT_EQ(a->standbys().replica(0)->crash_recoveries(),
+            b->standbys().replica(0)->crash_recoveries());
+  EXPECT_EQ(a->standbys().replica(0)->applied_lsn(), b->standbys().replica(0)->applied_lsn());
   // The schedule actually did something, or this test proves nothing.
-  EXPECT_GT(a->stream(0)->injected_drops() +
-                a->stream(0)->injected_duplicates() +
-                a->stream(0)->injected_reorders() +
-                a->replica(0)->crash_recoveries(),
+  EXPECT_GT(a->standbys().stream(0)->injected_drops() +
+                a->standbys().stream(0)->injected_duplicates() +
+                a->standbys().stream(0)->injected_reorders() +
+                a->standbys().replica(0)->crash_recoveries(),
             0u);
 }
 
@@ -252,10 +252,10 @@ TEST_P(ChaosSweepTest, AllProfilesConvergeWithoutAborting) {
     ASSERT_TRUE(fault.ok());
     auto engine = MakeKvEngine(fault.value());
     RunHistory(engine.get(), /*seed=*/GetParam() * 31 + 7, /*txns=*/120);
-    EXPECT_TRUE(engine->replica(0)->last_error().ok())
-        << engine->replica(0)->last_error().ToString();
-    EXPECT_EQ(engine->replica(0)->Lag(), 0u);
-    EXPECT_EQ(LatestContents(engine->replica(0)->catalog()),
+    EXPECT_TRUE(engine->standbys().replica(0)->last_error().ok())
+        << engine->standbys().replica(0)->last_error().ToString();
+    EXPECT_EQ(engine->standbys().replica(0)->Lag(), 0u);
+    EXPECT_EQ(LatestContents(engine->standbys().replica(0)->catalog()),
               LatestContents(engine->primary_catalog()));
   }
 }
@@ -284,7 +284,6 @@ std::unique_ptr<ShardedEngine> MakeTransferEngine(uint32_t shards) {
   config.seed = 42;
   config.plan = {{"acct", TablePlacement{Placement::kHashed, 0}}};
   config.fact_table = "acct";
-  config.replicate = false;
   auto engine = std::make_unique<ShardedEngine>(config);
   EXPECT_TRUE(engine->Create(TransferSpec()).ok());
   std::vector<Row> rows;

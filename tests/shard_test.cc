@@ -1,8 +1,9 @@
 // Sharded scale-out suite (src/shard/): router determinism and balance,
 // rid encoding, 2PC record round-trips, sharded-vs-unsharded result
-// equality, the shards=1 bit-identity differential, a multi-threaded
-// cross-shard 2PC storm (money conservation), and the coordinator
-// crash/recovery matrix.
+// equality, the shards=1 bit-identity differential, the per-shard
+// standby chain (commit throttle at shards=1, repl.* metrics under
+// faults), a multi-threaded cross-shard 2PC storm (money conservation),
+// and the coordinator crash/recovery matrix.
 
 #include <atomic>
 #include <cstdint>
@@ -216,9 +217,8 @@ TEST(ShardedEqualityTest, ThreeShardsMatchUnshardedAnswers) {
 // ---------------------------------------------------------------------
 // shards=1 is bit-identical to the inner engine: same outcomes (status,
 // commit timestamps, write keys, rids) and same answers, across 21
-// workload seeds. replicate=false for the strict leg — the replication
-// tee is the one deliberate difference — then a replicate=true checksum
-// leg proves the tee never changes results either.
+// workload seeds — with the shard's learner standby attached, so the
+// replication sink and throttle never change results either.
 
 TEST(ShardsOneDifferentialTest, BitIdenticalToUnshardedAcross21Seeds) {
   const uint32_t kFreshness = 4;
@@ -234,7 +234,6 @@ TEST(ShardsOneDifferentialTest, BitIdenticalToUnshardedAcross21Seeds) {
   config.seed = kDatagenSeed;
   config.plan = MakeSsbShardPlan(kFreshness);
   config.node = TidbConfig();
-  config.replicate = false;
   auto sharded = std::make_unique<ShardedEngine>(config);
   ASSERT_TRUE(LoadDataset(dataset, PhysicalSchema::kSemiIndexes,
                           sharded.get())
@@ -263,44 +262,15 @@ TEST(ShardsOneDifferentialTest, BitIdenticalToUnshardedAcross21Seeds) {
       EXPECT_DOUBLE_EQ(expected.checksum, actual.checksum) << QueryName(q);
       EXPECT_EQ(expected.freshness, actual.freshness) << QueryName(q);
     }
+    // The standby replays the same stream and drains to zero lag.
+    StandbySet& standbys = sharded->standbys();
+    standbys.replica(0)->CatchUp(nullptr);
+    EXPECT_EQ(standbys.replica(0)->Lag(), 0u);
+    EXPECT_EQ(standbys.replica(0)->applied_lsn(),
+              sharded->txn_manager()->next_lsn() - 1);
     ASSERT_TRUE(unsharded->Reset().ok());
     ASSERT_TRUE(sharded->Reset().ok());
   }
-}
-
-TEST(ShardsOneDifferentialTest, ReplicationTeeDoesNotChangeAnswers) {
-  const uint32_t kFreshness = 4;
-  const Dataset dataset = SmallDataset(0.25, kFreshness);
-
-  auto unsharded = MakeHybridEngine(TidbConfig());
-  ASSERT_TRUE(LoadDataset(dataset, PhysicalSchema::kSemiIndexes,
-                          unsharded.get())
-                  .ok());
-
-  ShardedEngineConfig config;
-  config.shards = 1;
-  config.seed = kDatagenSeed;
-  config.plan = MakeSsbShardPlan(kFreshness);
-  config.node = TidbConfig();
-  config.replicate = true;
-  auto sharded = std::make_unique<ShardedEngine>(config);
-  ASSERT_TRUE(LoadDataset(dataset, PhysicalSchema::kSemiIndexes,
-                          sharded.get())
-                  .ok());
-
-  const std::vector<TxnParams> batch = GenerateBatch(dataset, 3, 60);
-  ReplayBatch(unsharded.get(), dataset, batch);
-  ReplayBatch(sharded.get(), dataset, batch);
-  for (int q = 0; q < kNumQueries; ++q) {
-    const QueryResult expected =
-        RunOneQuery(unsharded.get(), q, kFreshness);
-    const QueryResult actual = RunOneQuery(sharded.get(), q, kFreshness);
-    EXPECT_DOUBLE_EQ(expected.checksum, actual.checksum) << QueryName(q);
-  }
-  // And the per-shard standby drains to zero lag.
-  auto* engine = sharded.get();
-  engine->shard_replica(0)->CatchUp(nullptr);
-  EXPECT_EQ(engine->shard_replica(0)->Lag(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -324,7 +294,6 @@ std::unique_ptr<ShardedEngine> MakeAcctEngine(uint32_t shards,
   config.seed = 42;
   config.plan = KvPlan();
   config.fact_table = "acct";
-  config.replicate = false;
   auto engine = std::make_unique<ShardedEngine>(config);
   EXPECT_TRUE(engine->Create(AcctSpec()).ok());
   std::vector<Row> rows;
@@ -383,6 +352,68 @@ int64_t TotalBalance(ShardedEngine* engine, const IndexInfo* pk,
       1, 1, &meter);
   EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   return total;
+}
+
+// The shard standbys are the isolated engine's standby chain: at
+// shards=1 too, a write commit pays the chain's injected ship delay, and
+// a faulted sim run exports the chain's repl.* metrics — byte-identical
+// across same-seed runs.
+
+TEST(ShardedReplicationTest, ShardsOneWriteCommitPaysShipDelay) {
+  StatusOr<FaultConfig> fault = MakeFaultProfile("delay", 1);
+  ASSERT_TRUE(fault.ok());
+  ShardedEngineConfig config;
+  config.shards = 1;
+  config.plan = KvPlan();
+  config.fact_table = "acct";
+  config.fault = fault.value();
+  ShardedEngine engine(config);
+  ASSERT_TRUE(engine.Create(AcctSpec()).ok());
+  ASSERT_TRUE(engine.BulkLoad("acct", {Row{int64_t{0}, int64_t{1000}},
+                                       Row{int64_t{1}, int64_t{1000}}})
+                  .ok());
+  ASSERT_TRUE(engine.FinishLoad().ok());
+  const IndexInfo* pk = engine.primary_catalog()->GetIndex("acct_pk");
+  ASSERT_NE(pk, nullptr);
+  double throttle = 0;
+  for (uint64_t txn = 1; txn <= 20; ++txn) {
+    WorkMeter meter;
+    const TxnOutcome outcome =
+        engine.ExecuteTransaction(TransferBody(pk, 0, 1, 1), 1, txn, &meter);
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    ASSERT_NE(outcome.lsn, 0u);
+    throttle += outcome.wait.throttle_s;
+  }
+  // The delay profile delays 30% of shipments; 20 commits all escaping
+  // it would be a one-in-a-thousand schedule, and the seed is fixed.
+  EXPECT_GT(throttle, 0.0);
+}
+
+TEST(ShardedReplicationTest, FaultedRunExportsReplMetrics) {
+  StatusOr<FaultConfig> fault = MakeFaultProfile("delay", 5);
+  ASSERT_TRUE(fault.ok());
+  WorkloadConfig config;
+  config.t_clients = 2;
+  config.a_clients = 1;
+  config.warmup_seconds = 0.05;
+  config.measure_seconds = 0.2;
+  config.seed = 7;
+  for (const uint32_t shards : {1u, 3u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    std::string exports[2];
+    for (std::string& exported : exports) {
+      bench::BenchEnv env = bench::MakeEnv(
+          bench::EngineKind::kTidbDist, /*scale_factor=*/0.25,
+          PhysicalSchema::kSemiIndexes, fault.value(), DefaultMergeMode(),
+          bench::DistModel::kSharded, shards);
+      const RunMetrics metrics = env.driver->Run(config);
+      EXPECT_GT(metrics.observed.CountOf(obs::kReplAppliedRecords), 0u);
+      EXPECT_GT(metrics.observed.ValueOf(obs::kReplThrottleSeconds), 0.0);
+      EXPECT_GT(metrics.observed.ValueOf(obs::kReplShippedBytes), 0.0);
+      exported = metrics.observed.ToJson();
+    }
+    EXPECT_EQ(exports[0], exports[1]);
+  }
 }
 
 TEST(TwoPcStormTest, ConcurrentTransfersConserveTotalBalance) {

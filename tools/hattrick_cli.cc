@@ -46,8 +46,11 @@
 //               (default: HATTRICK_MERGE_MODE env, else eager; ignored
 //               by non-hybrid systems)
 //   --fault-profile  none | drop | duplicate | reorder | crash | delay |
-//               chaos — replication fault injection (isolated systems
-//               only; default none)
+//               chaos — replication fault injection on the standby
+//               chain (default none). Systems without one (postgres,
+//               postgres-rc, system-x, tidb, tidb-dist with the
+//               surcharge model) reject any other profile as a usage
+//               error
 //   --fault-seed     fault schedule seed               (default 1)
 //   --trace-out    write the run's span trace (point and query modes).
 //                  ".csv" writes a flat CSV; anything else writes Chrome
@@ -84,29 +87,6 @@ namespace tools {
 namespace {
 
 using bench::EngineKind;
-
-bool ParseSystem(const std::string& name, EngineKind* kind) {
-  static const std::pair<const char*, EngineKind> kSystems[] = {
-      {"postgres", EngineKind::kPostgres},
-      {"postgres-rc", EngineKind::kPostgresRC},
-      {"postgres-sr", EngineKind::kPostgresSR},
-      {"postgres-sr-ra", EngineKind::kPostgresSRRA},
-      {"system-x", EngineKind::kSystemX},
-      {"tidb", EngineKind::kTidb},
-      {"tidb-dist", EngineKind::kTidbDist},
-      // Design-class aliases (Section 2.2 of the paper).
-      {"shared", EngineKind::kPostgres},
-      {"isolated", EngineKind::kPostgresSR},
-      {"hybrid", EngineKind::kSystemX},
-  };
-  for (const auto& [key, value] : kSystems) {
-    if (name == key) {
-      *kind = value;
-      return true;
-    }
-  }
-  return false;
-}
 
 PhysicalSchema DefaultSchema(EngineKind kind) {
   switch (kind) {
@@ -212,7 +192,7 @@ int Main(int argc, char** argv) {
       flags.positional().empty() ? mode_flag : flags.positional().front();
 
   EngineKind kind;
-  if (!ParseSystem(flags.GetString("system", "postgres"), &kind)) {
+  if (!bench::ParseEngineKind(flags.GetString("system", "postgres"), &kind)) {
     std::fprintf(stderr, "unknown --system\n");
     return Usage();
   }
@@ -260,6 +240,16 @@ int Main(int argc, char** argv) {
   uint32_t shards = bench::DefaultShards();
   if (flags.Has("shards")) {
     shards = static_cast<uint32_t>(flags.GetBoundedInt("shards", 3, 1, 64));
+  }
+  const bool has_standbys =
+      kind == EngineKind::kPostgresSR || kind == EngineKind::kPostgresSRRA ||
+      (kind == EngineKind::kTidbDist &&
+       dist_model == bench::DistModel::kSharded);
+  if (fault.enabled && !has_standbys) {
+    std::fprintf(stderr,
+                 "--fault-profile: this system has no replication chain "
+                 "(use postgres-sr, postgres-sr-ra or sharded tidb-dist)\n");
+    return Usage();
   }
 
   WorkloadConfig base;
